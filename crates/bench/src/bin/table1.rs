@@ -37,6 +37,7 @@ fn main() {
             profile.edges
         );
     }
+    args.print_resolve_notes();
     println!();
     let t0 = std::time::Instant::now();
     let (row, table1) =

@@ -48,6 +48,7 @@ fn main() {
         args.time_limit_secs,
         args.max_nodes,
     );
+    args.print_resolve_notes();
 
     let results = parallel_map(selected, |profile| {
         let effective = args.effective_profile(&profile);

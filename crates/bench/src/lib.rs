@@ -169,6 +169,16 @@ impl HarnessArgs {
         }
     }
 
+    /// Prints, once, what `SolverOptions::resolve` normalized in the
+    /// solver options these arguments imply — the same notes every MILP
+    /// of the run reports in `BranchBoundStats::resolve_notes`. Prints
+    /// nothing when the options run as given.
+    pub fn print_resolve_notes(&self) {
+        for note in self.core_options().solver.resolve().1 {
+            println!("solver options normalized: {note}");
+        }
+    }
+
     /// The profile as actually run (scaled unless `--full-size`).
     pub fn effective_profile(&self, p: &IscasProfile) -> IscasProfile {
         match self.max_edges {

@@ -128,8 +128,9 @@
 //! test and bench gates assert that injected runs prove the same optima
 //! as their clean twins.
 //!
-//! The search itself is one generic core over **one LP backend** — the
-//! warm revised kernel — with pluggable **node ordering**
+//! The search itself is **one node loop** (a worker engine; see
+//! "Concurrency model") over **one LP backend** — the warm revised
+//! kernel — with pluggable **node ordering**
 //! ([`SolverOptions::node_order`]): depth-first with the nearer
 //! branching side explored first ([`NodeOrder::DfsNearerFirst`], the
 //! default), or a best-bound priority queue ([`NodeOrder::BestBound`])
@@ -166,9 +167,8 @@
 //!   variable — rather than the raw parent bound, and the gap test /
 //!   reported [`BranchBoundStats::dual_bound`] use the **global
 //!   open-node minimum** (a valid dual bound) instead of the weak root
-//!   LP bound. With `workers >= 2` the pseudo-cost table is shared:
-//!   node-expansion updates fold in under the existing budget lock,
-//!   probe updates and all reads are lock-free atomics.
+//!   LP bound. The pseudo-cost table is shared by all workers; updates
+//!   and reads are lock-free atomics.
 //! * [`Branching::MostFractional`] is the historical rule — highest
 //!   [`priority`](Model::set_priority) class first, most fractional
 //!   within it, ties broken to the lowest [`VarId`] (a pinned golden,
@@ -190,22 +190,26 @@
 //!
 //! # Concurrency model
 //!
-//! [`SolverOptions::workers`]` >= 2` runs the search as a
-//! **work-stealing parallel branch & bound** (the `parallel` module);
-//! `workers = 1` (the default) routes through the serial core unchanged
-//! and is bit-exact with the historical single-threaded trajectories.
-//! Every model parallelizes — mirrored and free integers included;
-//! there is no serial-only model class. Unsupported knob combinations
+//! Every solve runs one **work-stealing branch & bound engine** (the
+//! `parallel` module) with [`SolverOptions::workers`] workers: worker 0
+//! runs on the calling thread and workers `1..n` in a thread scope, so
+//! `workers = 1` (the default) spawns nothing. A single worker follows
+//! the historical serial search's rules exactly and is bit-exact with
+//! its trajectories; more workers follow the same rules with a
+//! nondeterministic interleaving of claims (identical optima and
+//! verdicts, not identical trajectories). Every model parallelizes —
+//! mirrored and free integers included. Unsupported knob combinations
 //! are normalized loudly in one place ([`SolverOptions::resolve`]), not
-//! silently ignored per call site. Ownership is strictly layered:
+//! silently ignored per call site; the notes land in
+//! [`BranchBoundStats::resolve_notes`]. Ownership is strictly layered:
 //!
 //! * **Per worker (exclusive):** one `Revised` kernel with its own
 //!   sparse LU factors, eta file, fault injector, and recovery ladder
 //!   state, plus the worker's locally tracked variable boxes. Nothing
 //!   about LP solving is shared, so no kernel state is ever protected by
 //!   a lock — a worker re-derives a claimed node's boxes from the shared
-//!   branch tree (the same LCA walk the serial core uses) and applies
-//!   them to its private kernel.
+//!   branch tree (an LCA walk from the node its kernel last solved) and
+//!   applies them to its private kernel.
 //! * **Shared (read-only):** the standard form behind an `Arc` — built
 //!   once, immutable thereafter.
 //! * **Shared (locked):** the open-node frontier, branch-tree arena, and
@@ -216,12 +220,13 @@
 //! into an atomic (signed-objective bits) *while the incumbent lock is
 //! held*, with `Release` ordering; the hot pruning path reads it
 //! `Acquire` without locking. Because the cutoff only ever tightens, a
-//! racy read sees at worst a slightly stale (looser) value — a node the
-//! serial search would have pruned may get solved redundantly, but no
+//! racy read sees at worst a slightly stale (looser) value — a node a
+//! single worker would have pruned may get solved redundantly, but no
 //! node is ever pruned against an incumbent that does not exist. The
 //! same monotonicity argument makes discarding queued nodes at claim
-//! time individually sound: each discarded entry's own bound proves its
-//! subtree useless regardless of what other workers are doing.
+//! time (best-bound only) individually sound: each discarded entry's own
+//! bound proves its subtree useless regardless of what other workers
+//! are doing.
 //!
 //! **Why recovery stays worker-local:** the PR 6 ladder mutates the
 //! failing kernel (update-kind switch, cold rebuild, Bland pricing,
@@ -231,7 +236,8 @@
 //! factors, and would serialize exactly the slow path that most needs to
 //! stay independent. Instead each worker escalates privately and the
 //! merge layer folds the per-worker [`RecoveryStats`] ledgers together
-//! additively at join, so the reported totals keep their serial shape.
+//! additively at join, so the reported totals keep one shape at every
+//! worker count.
 //!
 //! A single wall-clock deadline is captured once at solve start and
 //! installed on every kernel, so N workers share one

@@ -294,14 +294,14 @@ pub struct SolverOptions {
     /// `None` — the default — injects nothing; the recovery ladder and
     /// residual health monitor stay armed either way.
     pub faults: Option<crate::FaultPlan>,
-    /// Branch & bound worker threads. `1` (the default) runs the serial
-    /// search core and is bit-exact with the historical trajectories;
-    /// `>= 2` runs the work-stealing parallel search, where each worker
-    /// owns its own kernel and factors and claims bounded DFS episodes
-    /// from a shared frontier (see the crate-level "Concurrency model"
-    /// docs). Every model parallelizes — there is no serial-only model
-    /// class; [`SolverOptions::resolve`] normalizes `0` to `1` and pins
-    /// the [`Kernel::DenseTableau`] oracle configuration to `1`.
+    /// Branch & bound workers. Every solve runs one work-stealing engine
+    /// in which each worker owns its own kernel and factors and claims
+    /// bounded DFS episodes from a shared frontier (see the crate-level
+    /// "Concurrency model" docs); worker 0 runs on the calling thread, so
+    /// `1` (the default) spawns no thread and is bit-exact with the
+    /// historical serial trajectories. Every model parallelizes;
+    /// [`SolverOptions::resolve`] normalizes `0` to `1` and pins the
+    /// [`Kernel::DenseTableau`] oracle configuration to `1`.
     pub workers: usize,
     /// Branching-variable selection rule (see [`Branching`]).
     pub branching: Branching,

@@ -1,4 +1,7 @@
-//! Work-stealing parallel branch & bound over the warm revised backend.
+//! The branch & bound node loop: a work-stealing worker engine over the
+//! warm revised backend. Every MILP solve runs here — `workers = 1` is
+//! one worker of this engine on the calling thread, `workers = n` adds
+//! `n - 1` scoped threads.
 //!
 //! Layering (see also the crate-level "Concurrency model" docs):
 //!
@@ -14,47 +17,42 @@
 //!   [`crate::revised::Revised`] kernel, sparse factors, fault injector,
 //!   and recovery ladder, sharing only the read-only `Arc<BoxedForm>`.
 //!   A worker claims one open node from the frontier and runs it as a
-//!   bounded DFS **episode** (the serial core's dive mechanism is the
-//!   unit of work): children bypass the queue onto a worker-local dive
-//!   stack until the episode cap trips, whereupon the leftovers — each
-//!   carrying its own bound key and parent-basis `Arc` — are flushed
-//!   back to the shared frontier for any worker to steal. Node boxes are
-//!   re-derived per worker by the same LCA tree walk the serial core
-//!   uses, reading the shared arena under the lock but applying the box
-//!   mutations to the worker's private kernel.
+//!   bounded DFS **episode**: children bypass the frontier onto a
+//!   worker-local dive stack until the episode cap trips, whereupon the
+//!   leftovers — each carrying its own bound key and parent-basis `Arc`
+//!   — are flushed back to the shared frontier, where the best bound (or
+//!   an idle worker) picks them up. Node boxes are re-derived per worker
+//!   by an LCA walk over the shared arena under the lock, applied to the
+//!   worker's private kernel after it drops.
 //!
-//! * **Merge layer** — every worker accumulates a private
-//!   [`BranchBoundStats`]; at join they are folded additively (counters
-//!   sum, peaks max, recovery ledgers absorb) into the single stats
-//!   struct the serial search produces, so `report.rs`, Table-1
-//!   rendering, and `BENCH_milp.json` records keep their shape.
+//! * **Merge layer** — every worker accumulates private counters and
+//!   kernel telemetry; at join they are folded additively (counters sum,
+//!   peaks max, recovery ledgers absorb) into one [`BranchBoundStats`].
+//!
+//! With one worker the engine is fully deterministic, and its rules are
+//! the historical serial search's: pruning before a solve happens only
+//! under [`NodeOrder::BestBound`]; the gap test runs at every branching
+//! node after the rounding heuristic, against the tightest open bound;
+//! the episode cap is checked before every pop; and a budget that trips
+//! drops the node it was about to solve. The same rules hold for every
+//! worker count; only the interleaving of claims differs.
 //!
 //! Termination: a worker that finds the frontier empty while
 //! `outstanding == 0` (no episode still running that could flush more
-//! work) declares the search done. Frontier entries whose bound cannot
-//! beat the cutoff are discarded unsolved at claim time — each discard
-//! is individually sound (its bound alone proves the subtree useless),
-//! so no global agreement is needed. Budget exhaustion (shared node cap
+//! work) declares the search done. Budget exhaustion (shared node cap
 //! or the single shared deadline) marks the search truncated and stops
-//! every worker at its next claim.
-//!
-//! Every model parallelizes — shifted, mirrored, and free (split-pair)
-//! integers all branch through the same in-place column-box updates.
-//! `workers <= 1` routes through the serial [`crate::branch_bound`]
-//! core unchanged, which is what makes `workers = 1` bit-exact with the
-//! historical trajectories.
+//! every worker at its next node.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::branch_bound::{
     branch_children, finish, most_fractional_of, select_branch_var, BranchBoundStats, Frontier,
-    LpBackend, OpenNode, PseudoCosts, TreeNode, WarmBackend,
+    OpenNode, PseudoCosts, TreeNode, WarmBackend,
 };
 use crate::expr::VarId;
 use crate::model::{Branching, Model, NodeOrder, Sense, SolverOptions};
-use crate::revised::Revised;
 use crate::solution::{Solution, SolveError};
 use crate::standard::{BoxedForm, ColMap};
 
@@ -74,7 +72,6 @@ struct Shared {
     done: bool,
     err: Option<SolveError>,
     root_bound: f64,
-    root_solved: bool,
     queue_peak: usize,
     /// Slot per claimed node, indexed by claim order; written when the
     /// node's LP concludes (claim order ≠ completion order).
@@ -83,16 +80,27 @@ struct Shared {
     seq: usize,
     /// Per worker: the signed bound of the node it claimed (`+∞` when
     /// idle). A claim's bound lower-bounds every node its episode can
-    /// produce, so `min(frontier, episode_floor)` is a valid global
-    /// dual bound even while episodes are in flight.
+    /// produce, so the frontier joined with the other workers' floors
+    /// and a worker's own open nodes is a valid global dual bound even
+    /// while episodes are in flight.
     episode_floor: Vec<f64>,
+}
+
+impl Shared {
+    /// Returns unexplored dive entries to the frontier (their bounds
+    /// then count toward the final dual bound).
+    fn flush(&mut self, dive: &mut Vec<OpenNode>) {
+        for e in dive.drain(..) {
+            self.frontier.push(e);
+        }
+    }
 }
 
 /// Incumbent state, separate from [`Shared`] so accepting an incumbent
 /// never blocks node claims. The pruning cutoff is mirrored into
 /// [`Ctx::cutoff`] *while this lock is held*, so the atomic only ever
 /// tightens and a racy read sees, at worst, a slightly stale (looser)
-/// cutoff — which can never prune a node the serial search would keep.
+/// cutoff — which can never prune a node that could still improve.
 struct Incumbent {
     best: Option<Solution>,
     incumbents: usize,
@@ -113,14 +121,11 @@ struct Ctx<'m> {
     incumbent: Mutex<Incumbent>,
     /// Bits of the signed incumbent objective (`+inf` = no incumbent).
     cutoff: AtomicU64,
-    /// Shared pseudo-cost table: read lock-free (atomics) by every
-    /// worker's branching selection; node-degradation observations are
-    /// recorded under the existing shared (budget) lock at bound
-    /// publication.
+    /// Shared pseudo-cost table, read and updated lock-free (atomics).
     pseudo: PseudoCosts,
     /// Global cut-activation flags, one per cut row. A worker that
-    /// separates a cut publishes its flag; every other worker mirrors
-    /// set flags into its private kernel before each node solve.
+    /// separates a cut publishes its flag; every worker mirrors set
+    /// flags into its private kernel before each node solve.
     cut_flags: Vec<AtomicBool>,
 }
 
@@ -133,80 +138,55 @@ impl Ctx<'_> {
         f64::from_bits(self.cutoff.load(AtomicOrdering::Acquire))
     }
 
+    /// The frontier lock. A worker that panicked while holding it left
+    /// the search state unknown, so the panic propagates.
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("a search worker panicked")
+    }
+
+    /// Whether an open node is discarded without solving it: only under
+    /// best-bound, and only when its bound cannot beat the incumbent.
+    /// DFS solves every node it pops and prunes on the node's own bound.
+    fn discard_unsolved(&self, bound: f64) -> bool {
+        self.opts.node_order == NodeOrder::BestBound && bound >= self.cutoff() - 1e-9
+    }
+
     fn out_of_clock(&self) -> bool {
         self.deadline.is_some_and(|dl| Instant::now() >= dl)
     }
 
-    /// Offers `candidate` as an incumbent (must be integral to win) and
-    /// returns whether it was installed. On improvement the atomic
-    /// cutoff is tightened before the lock drops; the gap check against
-    /// the root bound runs afterwards (separate lock) and may end the
-    /// whole search.
-    fn accept(&self, candidate: Solution, node_idx: usize) -> bool {
+    /// Offers `candidate` as an incumbent: installed when integral and
+    /// better than the current one, with the atomic cutoff tightened
+    /// before the lock drops. `node_idx` is the node count at acceptance
+    /// (0 = seeded by the hint).
+    fn accept(&self, candidate: Solution, node_idx: usize) {
+        // Rounded values clamped into the current box can be fractional
+        // when an integer variable carries fractional bounds — only
+        // truly integral points may become incumbents.
         let integral = self.int_vars.iter().all(|&v| {
             let x = candidate.value(v);
             (x - x.round()).abs() <= self.opts.int_tol
         });
         if !integral {
-            return false;
+            return;
         }
-        let installed = {
-            let mut inc = self.incumbent.lock().unwrap();
-            let better = match &inc.best {
-                None => true,
-                Some(b) => self.signed(candidate.objective) < self.signed(b.objective) - 1e-9,
-            };
-            if better {
-                if inc.incumbents == 0 {
-                    inc.first_incumbent_node = node_idx;
-                }
-                inc.incumbents += 1;
-                inc.incumbent_trace.push((node_idx, candidate.objective));
-                self.cutoff.store(
-                    self.signed(candidate.objective).to_bits(),
-                    AtomicOrdering::Release,
-                );
-                inc.best = Some(candidate);
-            }
-            better
+        let mut inc = self.incumbent.lock().expect("a search worker panicked");
+        let better = match &inc.best {
+            None => true,
+            Some(b) => self.signed(candidate.objective) < self.signed(b.objective) - 1e-9,
         };
-        if installed && self.within_gap() {
-            let mut sh = self.shared.lock().unwrap();
-            sh.done = true;
-            drop(sh);
-            self.idle.notify_all();
+        if better {
+            if inc.incumbents == 0 {
+                inc.first_incumbent_node = node_idx;
+            }
+            inc.incumbents += 1;
+            inc.incumbent_trace.push((node_idx, candidate.objective));
+            self.cutoff.store(
+                self.signed(candidate.objective).to_bits(),
+                AtomicOrdering::Release,
+            );
+            inc.best = Some(candidate);
         }
-        installed
-    }
-
-    /// Gap termination test (the serial core's stopping rule, evaluated
-    /// on the shared state): against the root LP bound historically
-    /// (most-fractional mode, keeping the pinned goldens bit-exact), or
-    /// against the valid global dual bound — frontier minimum joined
-    /// with the in-flight episode floors — under pseudo-cost branching.
-    fn within_gap(&self) -> bool {
-        let bound = {
-            let sh = self.shared.lock().unwrap();
-            if !sh.root_solved {
-                return false;
-            }
-            match self.opts.branching {
-                Branching::MostFractional => self.signed(sh.root_bound),
-                Branching::PseudoCost => sh
-                    .episode_floor
-                    .iter()
-                    .copied()
-                    .fold(sh.frontier.min_bound(), f64::min),
-            }
-        };
-        let inc = {
-            let inc = self.incumbent.lock().unwrap();
-            match &inc.best {
-                Some(b) => self.signed(b.objective),
-                None => return false,
-            }
-        };
-        inc - bound <= self.opts.gap_tol * inc.abs().max(1.0)
     }
 }
 
@@ -223,10 +203,11 @@ struct Worker<'c, 'm> {
     /// Arena index of the node whose boxes this worker's kernel has
     /// applied.
     cur: usize,
+    /// Search counters of this worker (solve split, strong branches,
+    /// pseudo-cost updates); merged at join.
     stats: BranchBoundStats,
-    /// Shorter than the serial cap: episodes are also the unit of load
-    /// balancing, so with more workers each claim hands work back to
-    /// the frontier sooner.
+    /// Solved nodes after which an episode hands its dive back to the
+    /// frontier.
     episode_cap: usize,
 }
 
@@ -235,16 +216,24 @@ impl Worker<'_, '_> {
     /// waits until one appears. `None` = the search is over.
     fn claim(&self) -> Option<OpenNode> {
         let ctx = self.ctx;
-        let mut sh = ctx.shared.lock().unwrap();
+        let mut sh = ctx.lock();
         loop {
             if sh.done || sh.err.is_some() {
                 return None;
             }
-            let cutoff = ctx.cutoff();
             while let Some(o) = sh.frontier.pop() {
-                if o.bound >= cutoff - 1e-9 {
-                    // Its bound alone proves the subtree useless —
-                    // individually sound, no global agreement needed.
+                if ctx.discard_unsolved(o.bound) {
+                    // Most-fractional keys equal bounds, so the queue is
+                    // bound-sorted: every remaining entry is at least as
+                    // bad, and with no episode in flight the incumbent
+                    // is proven optimal. (An estimate-keyed queue proves
+                    // only this entry useless; keep draining.)
+                    if ctx.opts.branching == Branching::MostFractional && sh.outstanding == 0 {
+                        sh.done = true;
+                        drop(sh);
+                        ctx.idle.notify_all();
+                        return None;
+                    }
                     continue;
                 }
                 sh.outstanding += 1;
@@ -258,17 +247,16 @@ impl Worker<'_, '_> {
                 ctx.idle.notify_all();
                 return None;
             }
-            sh = ctx.idle.wait(sh).unwrap();
+            sh = ctx.idle.wait(sh).expect("a search worker panicked");
         }
     }
 
-    /// The serial core's LCA walk, read-only: collects the box
-    /// mutations that switch this worker from `self.cur` to `t` into
-    /// `ops` (in application order) and returns `t`'s depth. Runs under
-    /// the shared lock (the arena is append-only but `Vec` growth moves
-    /// it); the collected ops are applied to the private kernel after
-    /// the lock drops.
-    fn path_ops(&self, arena: &[TreeNode], t: usize, ops: &mut Vec<(usize, f64, f64)>) -> usize {
+    /// The LCA walk from `self.cur` to `t`, read-only: collects the box
+    /// mutations in application order (undo up to the lowest common
+    /// ancestor, apply down). Runs under the shared lock (the arena is
+    /// append-only but `Vec` growth moves it); the collected ops are
+    /// applied to the private kernel after the lock drops.
+    fn path_ops(&self, arena: &[TreeNode], t: usize, ops: &mut Vec<(usize, f64, f64)>) {
         let mut a = self.cur;
         let mut b = t;
         let mut down: Vec<usize> = Vec::new();
@@ -289,13 +277,11 @@ impl Worker<'_, '_> {
         for &n in down.iter().rev() {
             ops.push((arena[n].vi, arena[n].lo, arena[n].hi));
         }
-        arena[t].depth
     }
 
-    /// Branching variable, through the same shared selection functions
-    /// the serial core uses (pseudo-cost estimates read lock-free from
-    /// the shared table; strong-branch probes run on this worker's
-    /// private kernel).
+    /// Picks the branching variable according to
+    /// [`SolverOptions::branching`] (strong-branch probes run on this
+    /// worker's private kernel); `None` when the point is integral.
     fn pick_branch_var(&mut self, sol: &Solution) -> Option<(VarId, f64)> {
         let ctx = self.ctx;
         match ctx.opts.branching {
@@ -317,8 +303,11 @@ impl Worker<'_, '_> {
         }
     }
 
-    /// Round-and-fix heuristic on this worker's kernel; the candidate is
-    /// offered through the shared incumbent lock.
+    /// Round-and-fix heuristic: pin every integer's box to the rounded
+    /// relaxation value, re-solve the continuous part on this worker's
+    /// kernel, and offer the result as an incumbent. Integers fixed at
+    /// the root have no standard-form column — their pin/restore is a
+    /// no-op in the backend, so they are harmless to include.
     fn offer_incumbent(&mut self, sol: &Solution, node_idx: usize) {
         let ctx = self.ctx;
         let mut pins: Vec<(usize, f64)> = Vec::with_capacity(ctx.int_vars.len());
@@ -329,34 +318,52 @@ impl Worker<'_, '_> {
             pins.push((vi, val));
             restore.push((vi, self.lo[vi], self.hi[vi]));
         }
-        let candidate = self
-            .backend
-            .round_and_fix(ctx.opts, &pins, &restore, sol, &mut self.stats);
+        let candidate = self.backend.round_and_fix(ctx.opts, &pins, &restore, sol);
         ctx.accept(candidate, node_idx);
     }
 
-    /// Queues the children of an expanded node onto the episode's dive
-    /// stack. Must be called with the shared lock held (arena append).
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
+    /// Warm-start hint: pin the hinted integers, solve the continuous
+    /// part, and offer the result as the first incumbent (recorded at
+    /// node 0, before any search).
+    fn seed_hint(&mut self, hint: &[(VarId, f64)]) {
+        let ctx = self.ctx;
+        let mut pins: Vec<(usize, f64)> = Vec::with_capacity(hint.len());
+        let mut restore: Vec<(usize, f64, f64)> = Vec::with_capacity(hint.len());
+        for &(v, val) in hint {
+            let vi = v.index();
+            if !ctx.model.var(v).is_integer() {
+                continue;
+            }
+            let val = val.round().clamp(self.lo[vi], self.hi[vi]);
+            pins.push((vi, val));
+            restore.push((vi, self.lo[vi], self.hi[vi]));
+        }
+        if let Some(sol) = self.backend.seed_hint(ctx.opts, &pins, &restore) {
+            ctx.accept(sol, 0);
+        }
+    }
+
+    /// The children of expanded node `t` (arena index, depth `depth`)
+    /// with their frontier keys, far side first. Under pseudo-cost
+    /// best-bound the key is a best-estimate: the parent bound plus the
+    /// shared completion term Σ_j min(down_j·f⁻_j, up_j·f⁺_j) over the
+    /// *other* fractional variables, plus the per-child cost of rounding
+    /// `vi` itself. Estimates order the queue but never prune (pruning
+    /// reads `OpenNode::bound`).
+    fn children(
         &self,
-        sh: &mut Shared,
         t: usize,
+        depth: usize,
         (var, val): (VarId, f64),
-        bound: f64,
-        basis: &Option<Arc<crate::revised::BasisState>>,
-        dive: &mut Vec<OpenNode>,
         sol: &Solution,
-    ) {
+    ) -> Vec<(TreeNode, f64)> {
         let ctx = self.ctx;
         let vi = var.index();
-        let signed_bound = ctx.signed(bound);
-        // Best-estimate keys, mirroring the serial core (estimates order
-        // the queue; pruning reads `OpenNode::bound`).
+        let signed_bound = ctx.signed(sol.objective);
         let estimate = ctx.opts.branching == Branching::PseudoCost
             && ctx.opts.node_order == NodeOrder::BestBound;
-        let common = if estimate {
-            let mut sum = 0.0;
+        let mut common = 0.0;
+        if estimate {
             for &v in &ctx.int_vars {
                 if v.index() == vi {
                     continue;
@@ -369,236 +376,242 @@ impl Worker<'_, '_> {
                 }
                 let down = ctx.pseudo.estimate(v.index(), false) * fd;
                 let up = ctx.pseudo.estimate(v.index(), true) * fu;
-                sum += down.min(up).max(0.0);
+                common += down.min(up).max(0.0);
             }
-            sum
-        } else {
-            0.0
-        };
-        let depth = sh.arena[t].depth + 1;
-        let children = branch_children(t, depth, vi, val, self.lo[vi], self.hi[vi], bound);
-        for child in children.into_iter().flatten() {
+        }
+        branch_children(
+            t,
+            depth + 1,
+            vi,
+            val,
+            self.lo[vi],
+            self.hi[vi],
+            sol.objective,
+        )
+        .into_iter()
+        .flatten()
+        .map(|child| {
             let key = if estimate {
                 signed_bound + common + ctx.pseudo.estimate(vi, child.up) * child.frac
             } else {
                 signed_bound
             };
-            let idx = sh.arena.len();
-            sh.arena.push(child);
-            sh.seq += 1;
-            dive.push(OpenNode {
-                node: idx,
-                bound: signed_bound,
-                key,
-                seq: sh.seq,
-                basis: basis.clone(),
-            });
+            (child, key)
+        })
+        .collect()
+    }
+
+    /// Gap termination test at a branching node whose signed bound is
+    /// `node_bound`. Most-fractional branching keeps the historical
+    /// root-LP rule (the pinned goldens replay bit-exact); pseudo-cost
+    /// branching measures against the valid global dual bound — this
+    /// node, the frontier, this worker's dive, and the other workers'
+    /// episode floors.
+    fn within_gap(&self, sh: &Shared, node_bound: f64, dive: &[OpenNode]) -> bool {
+        let ctx = self.ctx;
+        let inc = ctx.cutoff();
+        if inc == f64::INFINITY {
+            return false;
         }
-        // Telemetry approximation: the shared queue plus this worker's
-        // dive (other workers' in-flight dives are not counted).
-        let open_now = sh.frontier.len() + dive.len();
-        sh.queue_peak = sh.queue_peak.max(open_now);
+        let bound = match ctx.opts.branching {
+            Branching::MostFractional => ctx.signed(sh.root_bound),
+            Branching::PseudoCost => {
+                let others = sh
+                    .episode_floor
+                    .iter()
+                    .enumerate()
+                    .filter(|&(w, _)| w != self.id)
+                    .map(|(_, &f)| f);
+                dive.iter()
+                    .map(|o| o.bound)
+                    .chain(others)
+                    .fold(node_bound.min(sh.frontier.min_bound()), f64::min)
+            }
+        };
+        inc - bound <= ctx.opts.gap_tol * inc.abs().max(1.0)
     }
 
     /// Runs one claimed node as a bounded DFS episode. Returns `false`
-    /// when the worker should stop claiming (search done or hard error).
+    /// when the search is over (done, truncated, gap closed, or a hard
+    /// error).
     ///
-    /// The hot path costs exactly two shared-lock acquisitions per node:
-    /// one to claim a budget unit and read the activation path, one to
-    /// publish the bound and append the children.
+    /// The hot path costs two shared-lock acquisitions per node: one to
+    /// claim a budget unit and read the activation path, one to publish
+    /// the bound and append the children.
     fn episode(&mut self, root: OpenNode) -> bool {
         let ctx = self.ctx;
         let mut dive: Vec<OpenNode> = vec![root];
         let mut ops: Vec<(usize, f64, f64)> = Vec::new();
         let mut solved = 0usize;
-        while let Some(open) = dive.pop() {
-            if open.bound >= ctx.cutoff() - 1e-9 {
-                continue; // discarded unsolved, like the serial dive
+        loop {
+            // An over-long episode hands its leftovers to the frontier
+            // (each carries its own bound key and basis), so the globally
+            // best bound — or an idle worker — picks what runs next.
+            if solved >= self.episode_cap && !dive.is_empty() {
+                ctx.lock().flush(&mut dive);
+                ctx.idle.notify_all();
+                return true;
+            }
+            let Some(open) = dive.pop() else {
+                return true;
+            };
+            if ctx.discard_unsolved(open.bound) {
+                continue;
             }
             // Lock 1: claim one unit of the shared node budget and read
-            // the box mutations that move this kernel to the node. Early
-            // exits flush the unexplored entries (their bounds included)
-            // back to the frontier so the final dual bound stays valid.
+            // the box mutations that move this kernel to the node.
             ops.clear();
-            let (node_idx, depth) = {
-                let mut sh = ctx.shared.lock().unwrap();
+            let (node_idx, node) = {
+                let mut sh = ctx.lock();
                 if sh.done || sh.err.is_some() {
                     sh.frontier.push(open);
-                    for e in dive.drain(..) {
-                        sh.frontier.push(e);
-                    }
+                    sh.flush(&mut dive);
                     return false;
                 }
                 if sh.nodes >= ctx.opts.max_nodes || ctx.out_of_clock() {
+                    // The node that trips the budget is dropped, as the
+                    // historical serial search did; the pending dive goes
+                    // back to the frontier for the final dual bound.
                     sh.truncated = true;
                     sh.done = true;
-                    sh.frontier.push(open);
-                    for e in dive.drain(..) {
-                        sh.frontier.push(e);
-                    }
+                    sh.flush(&mut dive);
                     drop(sh);
                     ctx.idle.notify_all();
                     return false;
                 }
                 sh.nodes += 1;
                 sh.node_bounds.push(f64::NAN);
-                let depth = self.path_ops(&sh.arena, open.node, &mut ops);
-                (sh.nodes - 1, depth)
+                self.path_ops(&sh.arena, open.node, &mut ops);
+                (sh.nodes - 1, sh.arena[open.node])
             };
+            solved += 1;
             for &(vi, lo, hi) in &ops {
                 self.lo[vi] = lo;
                 self.hi[vi] = hi;
                 self.backend.set_var_box(vi, lo, hi);
             }
             self.cur = open.node;
-            // Mirror cut activations other workers published (an rhs
-            // tighten preserves dual feasibility, so the warm start
-            // survives).
-            for (i, flag) in ctx.cut_flags.iter().enumerate() {
-                if flag.load(AtomicOrdering::Relaxed) {
-                    self.backend.apply_cut(i);
+            self.backend.sync_cuts(&ctx.cut_flags);
+            let basis = open.basis.as_deref();
+            let mut relax = match self.backend.solve_node(ctx.opts, basis, &mut self.stats) {
+                Ok(sol) => sol,
+                Err(SolveError::Infeasible) => continue, // bound slot stays NaN
+                Err(SolveError::IterationLimit | SolveError::Numerical(_)) => {
+                    // No usable bound for this subtree (budget or
+                    // numerics): prune it and keep whatever incumbent
+                    // exists — aborting would discard a feasible answer
+                    // over one bad node.
+                    ctx.lock().truncated = true;
+                    continue;
+                }
+                // Bound tightenings cannot make a bounded LP unbounded,
+                // but a free-integer model may genuinely be unbounded at
+                // the root.
+                Err(e) => {
+                    let mut sh = ctx.lock();
+                    sh.err.get_or_insert(e);
+                    sh.done = true;
+                    sh.flush(&mut dive);
+                    drop(sh);
+                    ctx.idle.notify_all();
+                    return false;
+                }
+            };
+            // Lazy cut separation: tighten violated cut rows to their
+            // integer-valid rhs and re-solve until the point is clean.
+            // The weaker pre-activation bound stays valid, so a failed
+            // re-solve simply keeps it; an Infeasible verdict closes the
+            // node (cuts hold for every integer point in this box).
+            let mut cut_closed = false;
+            for _ in 0..8 {
+                if self.backend.separate_cuts(&relax, &ctx.cut_flags) == 0 {
+                    break;
+                }
+                match self.backend.solve_node(ctx.opts, basis, &mut self.stats) {
+                    Ok(sol) => relax = sol,
+                    Err(SolveError::Infeasible) => {
+                        cut_closed = true;
+                        break;
+                    }
+                    Err(_) => break,
                 }
             }
-            let mut relax =
-                match self
-                    .backend
-                    .solve_node(ctx.opts, open.basis.as_deref(), &mut self.stats)
+            // Pseudo-cost learning: this node's bound degradation against
+            // its parent, normalized by the branch fractionality —
+            // recorded before this node's own branching selection.
+            if ctx.opts.branching == Branching::PseudoCost
+                && node.vi != usize::MAX
+                && node.frac > ctx.opts.int_tol
+                && node.parent_obj.is_finite()
+            {
+                let degrade = (ctx.signed(relax.objective) - ctx.signed(node.parent_obj)).max(0.0);
+                ctx.pseudo.record(node.vi, node.up, degrade / node.frac);
+                self.stats.pseudo_updates += 1;
+            }
+            let node_bound = ctx.signed(relax.objective);
+            let pruned = cut_closed || node_bound >= ctx.cutoff() - 1e-9;
+            // Children warm-start from this node's optimal basis —
+            // snapshot before strong-branch probes or the heuristic
+            // perturb the kernel.
+            let mut branch = None;
+            let mut my_basis = None;
+            if !pruned {
+                my_basis = self.backend.snapshot(ctx.opts).map(Arc::new);
+                branch = self.pick_branch_var(&relax);
+                if branch.is_some()
+                    && ctx.opts.rounding_heuristic
+                    && (node.depth == 0 || node.depth.is_multiple_of(8))
                 {
-                    Ok(sol) => sol,
-                    Err(SolveError::Infeasible) => continue, // bound slot stays NaN
-                    Err(SolveError::IterationLimit) | Err(SolveError::Numerical(_)) => {
-                        // No usable bound for this subtree: prune it, keep
-                        // whatever incumbent exists, mark the run truncated.
-                        let mut sh = ctx.shared.lock().unwrap();
-                        sh.truncated = true;
-                        continue;
-                    }
-                    Err(e) => {
-                        let mut sh = ctx.shared.lock().unwrap();
-                        if sh.err.is_none() {
-                            sh.err = Some(e);
-                        }
+                    self.offer_incumbent(&relax, node_idx + 1);
+                }
+            }
+            let children = branch.map(|bv| self.children(open.node, node.depth, bv, &relax));
+            // Lock 2: publish the bound, run the gap test, and append the
+            // children to the dive.
+            {
+                let mut sh = ctx.lock();
+                sh.node_bounds[node_idx] = relax.objective;
+                if node.depth == 0 {
+                    sh.root_bound = relax.objective;
+                }
+                if let Some(children) = children {
+                    if self.within_gap(&sh, node_bound, &dive) {
                         sh.done = true;
-                        for e in dive.drain(..) {
-                            sh.frontier.push(e);
-                        }
+                        sh.flush(&mut dive);
                         drop(sh);
                         ctx.idle.notify_all();
                         return false;
                     }
-                };
-            // Lazy cut separation, as in the serial core: activate
-            // violated cuts (publishing each first activation globally)
-            // and re-solve; Infeasible closes the node.
-            let mut cut_closed = false;
-            if self.backend.cut_count() > 0 {
-                for _ in 0..8 {
-                    if self.backend.separate_cuts(&relax) == 0 {
-                        break;
+                    for (child, key) in children {
+                        let idx = sh.arena.len();
+                        sh.arena.push(child);
+                        sh.seq += 1;
+                        dive.push(OpenNode {
+                            node: idx,
+                            bound: node_bound,
+                            key,
+                            seq: sh.seq,
+                            basis: my_basis.clone(),
+                        });
                     }
-                    for (i, flag) in ctx.cut_flags.iter().enumerate() {
-                        if self.backend.active_cuts[i] && !flag.swap(true, AtomicOrdering::Relaxed)
-                        {
-                            // First activation anywhere: count it once.
-                            self.stats.cuts_activated += 1;
-                        }
-                    }
-                    match self
-                        .backend
-                        .solve_node(ctx.opts, open.basis.as_deref(), &mut self.stats)
-                    {
-                        Ok(sol) => relax = sol,
-                        Err(SolveError::Infeasible) => {
-                            cut_closed = true;
-                            break;
-                        }
-                        Err(_) => break,
-                    }
+                    // The shared frontier plus this worker's dive (other
+                    // workers' in-flight dives are not counted).
+                    sh.queue_peak = sh.queue_peak.max(sh.frontier.len() + dive.len());
                 }
             }
-            solved += 1;
-            let pruned = cut_closed || ctx.signed(relax.objective) >= ctx.cutoff() - 1e-9;
-            // Children warm-start from this node's optimal basis —
-            // snapshot before strong-branch probes or the heuristic
-            // perturb the kernel. Branching selection is local work
-            // (probes run on this worker's private kernel).
-            let my_basis = if pruned {
-                None
-            } else {
-                self.backend.snapshot(ctx.opts).map(Arc::new)
-            };
-            let branch = if pruned {
-                None
-            } else {
-                self.pick_branch_var(&relax)
-            };
-            let heuristic_due = ctx.opts.rounding_heuristic
-                && branch.is_some()
-                && (depth == 0 || depth.is_multiple_of(8));
-            if heuristic_due {
-                self.offer_incumbent(&relax, node_idx + 1);
-            }
-            // Lock 2: publish the bound, record the pseudo-cost
-            // observation (the shared table is updated under the
-            // existing budget lock), and append the children.
-            {
-                let mut sh = ctx.shared.lock().unwrap();
-                sh.node_bounds[node_idx] = relax.objective;
-                if depth == 0 {
-                    sh.root_bound = relax.objective;
-                    sh.root_solved = true;
-                }
-                if ctx.opts.branching == Branching::PseudoCost {
-                    let nd = &sh.arena[open.node];
-                    if nd.vi != usize::MAX
-                        && nd.frac > ctx.opts.int_tol
-                        && nd.parent_obj.is_finite()
-                    {
-                        let degrade =
-                            (ctx.signed(relax.objective) - ctx.signed(nd.parent_obj)).max(0.0);
-                        ctx.pseudo.record(nd.vi, nd.up, degrade / nd.frac);
-                        self.stats.pseudo_updates += 1;
-                    }
-                }
-                if let Some(bv) = branch {
-                    self.expand(
-                        &mut sh,
-                        open.node,
-                        bv,
-                        relax.objective,
-                        &my_basis,
-                        &mut dive,
-                        &relax,
-                    );
-                }
-            }
-            if branch.is_none() && !pruned {
-                // Integral leaf: the relaxation point is the optimal
+            if !pruned && branch.is_none() {
+                // Integral leaf: the relaxation point IS the optimal
                 // incumbent for this box.
                 ctx.accept(relax, node_idx + 1);
-                continue;
-            }
-            if solved >= self.episode_cap && !dive.is_empty() {
-                // Episode over: hand the leftovers to the frontier so
-                // idle workers can steal them.
-                let mut sh = ctx.shared.lock().unwrap();
-                for e in dive.drain(..) {
-                    sh.frontier.push(e);
-                }
-                sh.queue_peak = sh.queue_peak.max(sh.frontier.len());
-                drop(sh);
-                ctx.idle.notify_all();
-                return true;
             }
         }
-        true
     }
 
     /// The worker main loop: claim, run the episode, retire the claim.
     fn run(&mut self) {
         while let Some(open) = self.claim() {
             let keep_going = self.episode(open);
-            let mut sh = self.ctx.shared.lock().unwrap();
+            let mut sh = self.ctx.lock();
             sh.outstanding -= 1;
             sh.episode_floor[self.id] = f64::INFINITY;
             if sh.outstanding == 0 && sh.frontier.len() == 0 {
@@ -613,9 +626,10 @@ impl Worker<'_, '_> {
     }
 }
 
-/// Entry point from [`crate::branch_bound::solve_with_stats_hinted`]:
-/// the warm revised path with `opts.workers >= 2`.
-pub(crate) fn solve_parallel(
+/// Runs the branch & bound search over `form` with `opts.workers`
+/// workers (the caller has resolved the options): worker 0 on the
+/// calling thread, the rest in a thread scope.
+pub(crate) fn search(
     model: &Model,
     opts: &SolverOptions,
     hint: &[(VarId, f64)],
@@ -623,14 +637,13 @@ pub(crate) fn solve_parallel(
     int_maps: Vec<Option<ColMap>>,
     deadline: Option<Instant>,
 ) -> Result<(Solution, BranchBoundStats), SolveError> {
-    let workers = opts.workers;
+    let workers = opts.workers.max(1);
     let int_vars: Vec<VarId> = model
         .vars()
         .filter(|(_, v)| v.is_integer())
         .map(|(id, _)| id)
         .collect();
     let int_count = int_vars.len();
-    let arena = vec![TreeNode::root()];
     let mut frontier = Frontier::new(opts.node_order);
     frontier.push(OpenNode {
         node: 0,
@@ -650,14 +663,13 @@ pub(crate) fn solve_parallel(
         deadline,
         shared: Mutex::new(Shared {
             frontier,
-            arena,
+            arena: vec![TreeNode::root()],
             outstanding: 0,
             nodes: 0,
             truncated: false,
             done: false,
             err: None,
             root_bound: 0.0,
-            root_solved: false,
             queue_peak: 1,
             node_bounds: Vec::new(),
             seq: 0,
@@ -676,93 +688,70 @@ pub(crate) fn solve_parallel(
             .map(|_| AtomicBool::new(false))
             .collect(),
     };
-    // The serial cap (one integral leaf per episode) divided across the
-    // workers, so early episodes start feeding the frontier quickly.
+    // An episode should be able to reach an integral leaf, which takes on
+    // the order of one branching level per fractional integer; with more
+    // workers each claim hands work back to the frontier sooner.
     let episode_cap = (64.max(2 * int_count) / workers).max(8);
     let mut pool: Vec<Worker> = (0..workers)
-        .map(|id| {
-            let mut kernel = Revised::new(&form, opts);
-            kernel.set_deadline(deadline);
-            Worker {
-                ctx: &ctx,
-                id,
-                backend: WarmBackend {
-                    model,
-                    form: Arc::clone(&form),
-                    int_maps: int_maps.clone(),
-                    kernel,
-                    active_cuts: vec![false; form.cut_rows.len()],
-                },
-                lo: model.vars.iter().map(|v| v.lower).collect(),
-                hi: model.vars.iter().map(|v| v.upper).collect(),
-                cur: 0,
-                stats: BranchBoundStats {
-                    order: opts.node_order,
-                    ..BranchBoundStats::default()
-                },
-                episode_cap,
-            }
+        .map(|id| Worker {
+            ctx: &ctx,
+            id,
+            backend: WarmBackend::new(model, Arc::clone(&form), int_maps.clone(), opts, deadline),
+            lo: model.vars.iter().map(|v| v.lower).collect(),
+            hi: model.vars.iter().map(|v| v.upper).collect(),
+            cur: 0,
+            stats: BranchBoundStats::default(),
+            episode_cap,
         })
         .collect();
-    // Hint seeding runs serially on worker 0 before any thread spawns
-    // (it may install the first incumbent and tighten the cutoff).
+    // Hint seeding runs on worker 0 before any thread spawns (it may
+    // install the first incumbent and tighten the cutoff).
     if !hint.is_empty() {
-        let w0 = &mut pool[0];
-        let mut pins: Vec<(usize, f64)> = Vec::with_capacity(hint.len());
-        let mut restore: Vec<(usize, f64, f64)> = Vec::with_capacity(hint.len());
-        for &(v, val) in hint {
-            let vi = v.index();
-            if !model.var(v).is_integer() {
-                continue;
-            }
-            let val = val.round().clamp(w0.lo[vi], w0.hi[vi]);
-            pins.push((vi, val));
-            restore.push((vi, w0.lo[vi], w0.hi[vi]));
-        }
-        if let Some(sol) = w0.backend.seed_hint(opts, &pins, &restore, &mut w0.stats) {
-            ctx.accept(sol, 0);
-        }
+        pool[0].seed_hint(hint);
     }
-    let worker_stats: Vec<BranchBoundStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = pool
+    let helpers = pool.split_off(1);
+    let mut first = pool.pop().expect("at least one worker");
+    let pool: Vec<Worker> = std::thread::scope(|s| {
+        let handles: Vec<_> = helpers
             .into_iter()
             .map(|mut w| {
                 s.spawn(move || {
                     w.run();
-                    let mut stats = w.stats;
-                    w.backend.finish(&mut stats);
-                    stats
+                    w
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        first.run();
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a search worker panicked")),
+            )
+            .collect()
     });
-    // Merge layer: counters sum, peaks max, recovery ledgers absorb.
+    // Merge layer: kernel telemetry folds additively, search counters sum.
     let mut stats = BranchBoundStats {
         order: opts.node_order,
+        cuts_added: form.cut_rows.len(),
         ..BranchBoundStats::default()
     };
-    for w in &worker_stats {
-        stats.simplex_iters += w.simplex_iters;
-        stats.warm_solves += w.warm_solves;
-        stats.cold_solves += w.cold_solves;
-        stats.refactors += w.refactors;
-        stats.ft_updates += w.ft_updates;
-        stats.forced_refactors += w.forced_refactors;
-        stats.peak_u_nnz = stats.peak_u_nnz.max(w.peak_u_nnz);
-        stats.peak_lu_nnz = stats.peak_lu_nnz.max(w.peak_lu_nnz);
-        stats.basis_rows = stats.basis_rows.max(w.basis_rows);
-        stats.strong_branches += w.strong_branches;
-        stats.pseudo_updates += w.pseudo_updates;
-        stats.cuts_activated += w.cuts_activated;
-        stats.recovery.absorb(&w.recovery);
-        stats.dual_pivots += w.dual_pivots;
-        stats.primal_pivots += w.primal_pivots;
-        stats.bound_flips += w.bound_flips;
-        stats.weight_resets += w.weight_resets;
+    for w in &pool {
+        w.backend.finish(&mut stats);
+        stats.warm_solves += w.stats.warm_solves;
+        stats.cold_solves += w.stats.cold_solves;
+        stats.strong_branches += w.stats.strong_branches;
+        stats.pseudo_updates += w.stats.pseudo_updates;
     }
-    stats.cuts_added = form.cut_rows.len();
-    let shared = ctx.shared.into_inner().unwrap();
+    drop(pool);
+    // Each cut row activates at most once, and every activation is
+    // published in its flag.
+    stats.cuts_activated = ctx
+        .cut_flags
+        .iter()
+        .filter(|f| f.load(AtomicOrdering::Relaxed))
+        .count();
+    let shared = ctx.shared.into_inner().expect("a search worker panicked");
     if let Some(e) = shared.err {
         return Err(e);
     }
@@ -771,20 +760,24 @@ pub(crate) fn solve_parallel(
     stats.root_bound = shared.root_bound;
     stats.queue_peak = shared.queue_peak;
     stats.node_bounds = shared.node_bounds;
-    let inc = ctx.incumbent.into_inner().unwrap();
+    let inc = ctx
+        .incumbent
+        .into_inner()
+        .expect("a search worker panicked");
     stats.incumbents = inc.incumbents;
     stats.first_incumbent_node = inc.first_incumbent_node;
     stats.incumbent_trace = inc.incumbent_trace;
-    // Proven dual bound: frontier leftovers (flushed back by every early
-    // episode exit) joined with the incumbent; completed searches have an
+    // Proven dual bound: frontier leftovers (every early exit flushes its
+    // dive back) joined with the incumbent; a completed search has an
     // empty frontier, so the bound collapses to the incumbent objective.
+    // Reported in the model's sense, falling back to the root bound
+    // (never NaN, so bit-exact stats comparisons keep working).
     let sense_mul = ctx.sense_mul;
-    let open_min = shared.frontier.min_bound();
     let inc_signed = inc
         .best
         .as_ref()
         .map_or(f64::INFINITY, |b| sense_mul * b.objective);
-    let bound = open_min.min(inc_signed);
+    let bound = shared.frontier.min_bound().min(inc_signed);
     stats.dual_bound = if bound.is_finite() {
         sense_mul * bound
     } else {

@@ -1359,7 +1359,7 @@ impl Revised {
             // residual drift recomputes x_B, and the row selection below
             // must see the corrected values.
             self.checkpoint(pivots_done, opts)?;
-            let Some((prow, below, worst)) =
+            let Some((prow, below, worst, cut)) =
                 self.dual_leaving_row(&scales, noise_floor, steepest, opts.feas_tol)
             else {
                 return Ok(()); // primal feasible (and still dual feasible)
@@ -1431,7 +1431,7 @@ impl Revised {
                 Vec::new()
             };
             let choice = if steepest {
-                self.dual_enter_steepest(&alphas, &rc, below, worst, opts)
+                self.dual_enter_steepest(&alphas, &rc, below, worst, cut, opts)
             } else {
                 let y = self.duals(false);
                 self.dual_enter_dantzig(&rho, &y, below, opts)
@@ -1527,15 +1527,16 @@ impl Revised {
     /// on tiny-scaled ones (see the mixed-scale regression test). Under
     /// steepest edge the selection ranks by `violation²/β_r` against
     /// the maintained reference weights instead of the raw worst
-    /// violation. Returns `(row, violated_below, violation)`.
+    /// violation. Returns `(row, violated_below, violation, cut)`, `cut`
+    /// being the violation the row tolerates.
     fn dual_leaving_row(
         &self,
         scales: &[f64],
         noise_floor: f64,
         steepest: bool,
         tol: f64,
-    ) -> Option<(usize, bool, f64)> {
-        let mut prow: Option<(usize, bool, f64)> = None;
+    ) -> Option<(usize, bool, f64, f64)> {
+        let mut prow: Option<(usize, bool, f64, f64)> = None;
         let mut best_score = 0.0f64;
         for (r, &row_scale) in scales.iter().enumerate().take(self.m) {
             let (lb, ub) = self.box_of(self.basis[r]);
@@ -1564,7 +1565,7 @@ impl Revised {
             };
             if score > best_score {
                 best_score = score;
-                prow = Some((r, is_below, viol));
+                prow = Some((r, is_below, viol, cut));
             }
         }
         prow
@@ -1639,15 +1640,16 @@ impl Revised {
     /// many breakpoints. The first candidate the remaining violation
     /// does not exhaust enters the basis (a tie window anchored at its
     /// ratio still breaks toward the larger pivot). `None` — committing
-    /// no flips — means the row stays violated even with every
-    /// candidate flipped: the dual ray is unbounded over the boxes, the
-    /// node LP infeasible.
+    /// no flips — means the row stays violated beyond `tol` (the
+    /// violation the row tolerates) even with every candidate flipped:
+    /// the dual ray is unbounded over the boxes, the node LP infeasible.
     fn dual_enter_steepest(
         &self,
         alphas: &[f64],
         rc: &[f64],
         below: bool,
         violation: f64,
+        tol: f64,
         opts: &SolverOptions,
     ) -> Option<DualChoice> {
         let ratio_tie = 0.01 * opts.feas_tol;
@@ -1696,7 +1698,18 @@ impl Revised {
                 break;
             }
         }
-        let ci = chosen?;
+        let ci = match chosen {
+            Some(ci) => ci,
+            // Every flip committed leaves only round-off of the violation
+            // (the last span matched what remained): the row is repaired,
+            // so the last candidate enters rather than flips — reporting
+            // a feasible node infeasible would prune it.
+            None if remaining <= tol => {
+                flips.pop();
+                cands.len() - 1
+            }
+            None => return None,
+        };
         let mut pick = ci;
         for (k, cand) in cands.iter().enumerate().skip(ci + 1) {
             if cand.0 >= cands[ci].0 + ratio_tie {
@@ -2410,7 +2423,7 @@ mod tests {
         let scales = vec![2e6, 1.0];
         let noise_floor = 1e3 * f64::EPSILON * 2e6;
         for steepest in [false, true] {
-            let (row, below, viol) = k
+            let (row, below, viol, _) = k
                 .dual_leaving_row(&scales, noise_floor, steepest, opts.feas_tol)
                 .expect("the unit-scale violation must be seen");
             assert_eq!(row, 1, "round-off on the 2e6-scale row out-scored it");
@@ -2437,17 +2450,25 @@ mod tests {
         let alphas = vec![2.0, 1.0];
         let rc = vec![0.1, 0.2]; // ratios 0.05 and 0.2
         let choice = k
-            .dual_enter_steepest(&alphas, &rc, false, 1.0, &opts)
+            .dual_enter_steepest(&alphas, &rc, false, 1.0, 1e-9, &opts)
             .expect("the second candidate must absorb the step");
         assert_eq!(choice.flips, vec![0], "best-ratio column must bound-flip");
         assert_eq!(choice.enter, 1);
         assert!((choice.alpha - 1.0).abs() < 1e-15);
         // Violation beyond every candidate's combined reach: infeasible.
         assert!(
-            k.dual_enter_steepest(&alphas, &rc, false, 20.0, &opts)
+            k.dual_enter_steepest(&alphas, &rc, false, 20.0, 1e-9, &opts)
                 .is_none(),
             "an inexhaustible violation is a dual ray"
         );
+        // Flipping both candidates absorbs 0.6 + 10.0 of the violation;
+        // a violation exceeding that only by round-off is repaired, not a
+        // dual ray: the last candidate enters, the first still flips.
+        let choice = k
+            .dual_enter_steepest(&alphas, &rc, false, 10.6 + 1e-11, 1e-9, &opts)
+            .expect("round-off left after the last flip is not infeasibility");
+        assert_eq!(choice.flips, vec![0]);
+        assert_eq!(choice.enter, 1);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   to ≤ 1e-7, and warm-start cleanly (`cold_solves == 1`, every
 //!   subsequent node a warm dual reoptimization).
 //! * **No model clones in the node loop** — source-level assertions:
-//!   the `LegacyBackend` / `SNAP_LEAVES` identifiers survive only in
-//!   prose, and `model.clone()` appears exactly once in
+//!   the `LegacyBackend` / `SNAP_LEAVES` identifiers (and those of the
+//!   retired serial loop, `SearchCore` / `LpBackend` / `run_search`)
+//!   survive only in prose, and `model.clone()` appears exactly once in
 //!   `branch_bound.rs` (the whole-solve cross-validation pin, outside
 //!   the search loop) and never in `parallel.rs`.
 
@@ -218,18 +219,26 @@ fn legacy_model_class_runs_warm_parallel_and_oracle_checked() {
     }
 }
 
-/// Source-level assertions that the deletion is real and stays real:
-/// the `LegacyBackend` / `SNAP_LEAVES` identifiers survive only in
-/// prose (comment lines), and no model is cloned inside the node loop —
+/// Source-level assertions that the deletions are real and stay real:
+/// the `LegacyBackend` / `SNAP_LEAVES` identifiers of the retired
+/// backend and the `SearchCore` / `LpBackend` / `run_search`
+/// identifiers of the retired serial search loop survive only in prose
+/// (comment lines), and no model is cloned inside the node loop —
 /// `model.clone()` appears exactly once in `branch_bound.rs` (the
 /// whole-solve cross-validation pin, after the search returns) and
-/// never in `parallel.rs`.
+/// never in `parallel.rs`, which holds the one node loop.
 #[test]
 fn no_legacy_backend_and_no_model_clones_in_the_node_loop() {
     let branch_bound = include_str!("../crates/milp/src/branch_bound.rs");
     let parallel = include_str!("../crates/milp/src/parallel.rs");
 
-    for ident in ["LegacyBackend", "SNAP_LEAVES"] {
+    for ident in [
+        "LegacyBackend",
+        "SNAP_LEAVES",
+        "SearchCore",
+        "LpBackend",
+        "run_search",
+    ] {
         for (file, src) in [("branch_bound.rs", branch_bound), ("parallel.rs", parallel)] {
             for (lineno, line) in src.lines().enumerate() {
                 if line.contains(ident) {

@@ -1,10 +1,13 @@
-//! Determinism gate for the parallel branch & bound
-//! (`SolverOptions::workers`):
+//! Determinism gate for the branch & bound worker engine
+//! (`SolverOptions::workers`), which runs every solve — `workers = 1` is
+//! one worker on the calling thread:
 //!
-//! * **Serial bit-exactness** — `workers = 1` routes through the
-//!   unchanged serial core, so it must reproduce the pinned
-//!   `search_orders` goldens *bit-exact*: same objective, same node and
-//!   pivot counts, same incumbent trace.
+//! * **Serial bit-exactness** — `workers = 1` must reproduce the pinned
+//!   `search_orders` goldens *bit-exact* (same objective, same node and
+//!   pivot counts, same incumbent trace), and the production
+//!   configuration the benchmark measures (pseudo-cost branching,
+//!   steepest edge, cycle-sum cuts, 0.5 % gap) must replay its pinned
+//!   `BranchBoundStats` field for field, `node_bounds` bitwise.
 //! * **Schedule independence of verdicts** — `workers ∈ {2, 4}` must
 //!   prove identical optima (≤ 1e-7) and identical verdicts as the
 //!   serial search on every Table-1 instance the serial search
@@ -28,6 +31,7 @@ use rr_milp::{
     Sense, SolverOptions, Status, UpdateKind,
 };
 use rr_rrg::figures;
+use rr_rrg::iscas::IscasProfile;
 use rr_rrg::Rrg;
 
 /// Deterministic solver options: node caps only, no wall clock. Pinned
@@ -90,7 +94,7 @@ fn assert_stats_identical(mut a: rr_milp::BranchBoundStats, mut b: rr_milp::Bran
 
 /// `workers = 1` reproduces the pinned serial golden bit-exact — and
 /// produces the byte-identical stats struct of a default (`workers`
-/// unset) run, because it *is* the serial code path.
+/// unset) run: both are one worker of the same engine.
 #[test]
 fn one_worker_matches_the_serial_goldens_bit_exact() {
     let m = ring_difference_milp(12, 6);
@@ -140,8 +144,238 @@ fn one_worker_matches_serial_best_bound_truncated_runs() {
         "workers=1 diverged from the default serial run"
     );
     assert!(serial.stats.truncated);
-    assert_stats_identical(serial.stats, default_run.stats);
+    // The only legitimate difference: the default run records that
+    // `workers: 0` was normalized.
+    let mut default_stats = default_run.stats;
+    assert_eq!(
+        default_stats.resolve_notes,
+        ["workers: 0 -> 1 (a solve needs one worker)"]
+    );
+    default_stats.resolve_notes.clear();
+    assert_stats_identical(serial.stats, default_stats);
     assert!(serial.objective <= 3.0 + 1e-6);
+}
+
+/// The production configuration the benchmark measures: default
+/// `SolverOptions` (pseudo-cost branching, steepest-edge pricing),
+/// cycle-sum cuts on, the `CoreOptions::default()` 0.5 % gap — minus
+/// the wall clock, so only the node cap can stop a search.
+fn production(order: NodeOrder, max_nodes: usize) -> CoreOptions {
+    let mut opts = CoreOptions::default();
+    opts.solver.time_limit = None;
+    opts.solver.max_nodes = max_nodes;
+    opts.solver.node_order = order;
+    opts.solver.workers = 1;
+    opts
+}
+
+/// One line naming every `BranchBoundStats` field, floats as bit
+/// patterns; `node_bounds` enters as its length plus an FNV-1a digest
+/// of the bits, so the comparison stays bitwise without pinning
+/// thousands of values.
+fn fingerprint(s: &rr_milp::BranchBoundStats) -> String {
+    let digest = s.node_bounds.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    let trace: Vec<String> = s
+        .incumbent_trace
+        .iter()
+        .map(|&(n, obj)| format!("{n}:{:x}", obj.to_bits()))
+        .collect();
+    format!(
+        "nodes={} incumbents={} truncated={} root_bound={:x} simplex_iters={} \
+         warm_solves={} cold_solves={} refactors={} ft_updates={} forced_refactors={} \
+         peak_u_nnz={} peak_lu_nnz={} basis_rows={} order={:?} queue_peak={} \
+         first_incumbent_node={} incumbent_trace={} node_bounds={}/{:016x} \
+         strong_branches={} pseudo_updates={} cuts_added={} cuts_activated={} \
+         dual_bound={:x} recovery={:?} dual_pivots={} primal_pivots={} bound_flips={} \
+         weight_resets={}",
+        s.nodes,
+        s.incumbents,
+        s.truncated,
+        s.root_bound.to_bits(),
+        s.simplex_iters,
+        s.warm_solves,
+        s.cold_solves,
+        s.refactors,
+        s.ft_updates,
+        s.forced_refactors,
+        s.peak_u_nnz,
+        s.peak_lu_nnz,
+        s.basis_rows,
+        s.order,
+        s.queue_peak,
+        s.first_incumbent_node,
+        trace.join(","),
+        s.node_bounds.len(),
+        digest,
+        s.strong_branches,
+        s.pseudo_updates,
+        s.cuts_added,
+        s.cuts_activated,
+        s.dual_bound.to_bits(),
+        s.recovery,
+        s.dual_pivots,
+        s.primal_pivots,
+        s.bound_flips,
+        s.weight_resets,
+    )
+}
+
+/// `(case, objective bits, stats fingerprint)`, captured before the serial
+/// search core was folded into the worker engine.
+const PRODUCTION_GOLDENS: [(&str, u64, &str); 6] = [
+    (
+        "bench20/max_thr/DfsNearerFirst",
+        4619001555119598635,
+        "nodes=37 incumbents=1 truncated=false root_bound=40119c0eeab3dc1a \
+         simplex_iters=855 warm_solves=36 cold_solves=2 refactors=8 \
+         ft_updates=805 forced_refactors=0 peak_u_nnz=315 peak_lu_nnz=726 \
+         basis_rows=80 order=DfsNearerFirst queue_peak=6 first_incumbent_node=0 \
+         incumbent_trace=0:4019fd711de16c2b node_bounds=37/0bc9227442d22328 \
+         strong_branches=74 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
+         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=632 primal_pivots=173 bound_flips=50 \
+         weight_resets=0",
+    ),
+    (
+        "bench20/min_cyc/DfsNearerFirst",
+        4637617074751072122,
+        "nodes=17 incumbents=1 truncated=false root_bound=40337119a56a5ca1 \
+         simplex_iters=1437 warm_solves=16 cold_solves=1 refactors=12 \
+         ft_updates=1405 forced_refactors=0 peak_u_nnz=402 peak_lu_nnz=1300 \
+         basis_rows=75 order=DfsNearerFirst queue_peak=6 first_incumbent_node=0 \
+         incumbent_trace=0:405c202888d2e77a node_bounds=17/3d729629103eb4b9 \
+         strong_branches=46 pseudo_updates=108 cuts_added=0 cuts_activated=0 \
+         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=1323 primal_pivots=82 bound_flips=32 \
+         weight_resets=5",
+    ),
+    (
+        "s27e20/min_cyc/DfsNearerFirst",
+        4631145387254881707,
+        "nodes=1000 incumbents=4 truncated=true root_bound=403313745c7d730a \
+         simplex_iters=8419 warm_solves=998 cold_solves=2 refactors=81 \
+         ft_updates=8069 forced_refactors=1 peak_u_nnz=578 peak_lu_nnz=2210 \
+         basis_rows=87 order=DfsNearerFirst queue_peak=22 \
+         first_incumbent_node=0 \
+         incumbent_trace=0:4055b94e8503d88e,16:4046a0b3dbfeea64,34:404679e7584584e6,86:404522315e841dab \
+         node_bounds=1000/1e8bc5997289600b strong_branches=87 \
+         pseudo_updates=881 cuts_added=0 cuts_activated=0 \
+         dual_bound=403313745c7d730a recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 1, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 1, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=7866 primal_pivots=203 \
+         bound_flips=350 weight_resets=55",
+    ),
+    (
+        "bench20/max_thr/BestBound",
+        4619001555119598635,
+        "nodes=37 incumbents=1 truncated=false root_bound=40119c0eeab3dc1a \
+         simplex_iters=855 warm_solves=36 cold_solves=2 refactors=8 \
+         ft_updates=805 forced_refactors=0 peak_u_nnz=315 peak_lu_nnz=726 \
+         basis_rows=80 order=BestBound queue_peak=6 first_incumbent_node=0 \
+         incumbent_trace=0:4019fd711de16c2b node_bounds=37/0bc9227442d22328 \
+         strong_branches=74 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
+         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=632 primal_pivots=173 bound_flips=50 \
+         weight_resets=0",
+    ),
+    (
+        "bench20/min_cyc/BestBound",
+        4637617074751072122,
+        "nodes=17 incumbents=1 truncated=false root_bound=40337119a56a5ca1 \
+         simplex_iters=1437 warm_solves=16 cold_solves=1 refactors=12 \
+         ft_updates=1405 forced_refactors=0 peak_u_nnz=402 peak_lu_nnz=1300 \
+         basis_rows=75 order=BestBound queue_peak=6 first_incumbent_node=0 \
+         incumbent_trace=0:405c202888d2e77a node_bounds=17/3d729629103eb4b9 \
+         strong_branches=46 pseudo_updates=108 cuts_added=0 cuts_activated=0 \
+         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=1323 primal_pivots=82 bound_flips=32 \
+         weight_resets=5",
+    ),
+    (
+        "s27e20/min_cyc/BestBound",
+        4631145387254881752,
+        "nodes=1000 incumbents=4 truncated=true root_bound=403313745c7d730a \
+         simplex_iters=9130 warm_solves=999 cold_solves=1 refactors=92 \
+         ft_updates=8738 forced_refactors=0 peak_u_nnz=514 peak_lu_nnz=1951 \
+         basis_rows=87 order=BestBound queue_peak=41 first_incumbent_node=0 \
+         incumbent_trace=0:4055b94e8503d88e,16:4046a0b3dbfeea64,34:404679e7584584e6,81:404522315e841dd8 \
+         node_bounds=1000/6e4c46b1595d6feb strong_branches=86 \
+         pseudo_updates=856 cuts_added=0 cuts_activated=0 \
+         dual_bound=403313745c7d730a recovery=RecoveryStats { unstable_updates: \
+         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
+         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
+         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=8566 primal_pivots=172 \
+         bound_flips=392 weight_resets=45",
+    ),
+];
+
+/// Production-configuration goldens at `workers = 1`: bench-20
+/// `MAX_THR`/`MIN_CYC` and the 20-edge s27 `MIN_CYC` (the Table-2 sweep
+/// graph), under both node orders, node cap 3000. Captured before the
+/// serial search core was folded into the worker engine; every field of
+/// the stats struct must replay bit for bit.
+#[test]
+fn one_worker_replays_the_production_configuration_goldens() {
+    let s27 = IscasProfile::by_name("s27")
+        .unwrap()
+        .scaled(20)
+        .generate(2009);
+    let bench20 = bench_instance(20);
+    let mut got = Vec::new();
+    for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
+        let opts = production(order, 1000);
+        let runs = [
+            (
+                "bench20/max_thr",
+                formulation::max_thr(&bench20, bench20.max_delay(), &opts),
+            ),
+            (
+                "bench20/min_cyc",
+                formulation::min_cyc(&bench20, 1.0, &opts),
+            ),
+            ("s27e20/min_cyc", formulation::min_cyc(&s27, 1.25, &opts)),
+        ];
+        for (name, run) in runs {
+            let out = run.unwrap_or_else(|e| panic!("{name}/{order:?}: {e}"));
+            got.push((
+                format!("{name}/{order:?}"),
+                out.objective.to_bits(),
+                fingerprint(&out.stats),
+            ));
+        }
+    }
+    for ((case, obj, fp), (want_case, want_obj, want_fp)) in got.iter().zip(PRODUCTION_GOLDENS) {
+        assert_eq!(case, want_case);
+        assert_eq!(*obj, want_obj, "{case}: objective drifted");
+        assert_eq!(fp, want_fp, "{case}: search trajectory drifted");
+    }
+    assert_eq!(got.len(), PRODUCTION_GOLDENS.len());
 }
 
 /// Every Table-1 instance the serial search completes: `workers ∈ {2,4}`

@@ -1,10 +1,12 @@
-//! Node-ordering regression suite for the unified branch & bound search
-//! core (`rr-milp`):
+//! Node-ordering regression suite for the branch & bound search
+//! (`rr-milp`), which runs every solve through one worker engine
+//! (`workers = 1` is a single worker of it):
 //!
-//! * **Bit-compatibility** — `NodeOrder::DfsNearerFirst` through the new
-//!   `SearchCore` must reproduce the exact node count, pivot count and
-//!   incumbent trace of the pre-refactor `WarmSearch` on two fixed-seed
-//!   instances (golden values captured before the refactor landed).
+//! * **Bit-compatibility** — `NodeOrder::DfsNearerFirst` must reproduce
+//!   the exact node count, pivot count and incumbent trace of the
+//!   historical recursive `WarmSearch` on two fixed-seed instances
+//!   (golden values captured before the first search refactor landed,
+//!   and replayed unchanged by every search loop since).
 //! * **Plateau escape** — on the 40-edge `MAX_THR` bench instance (the
 //!   ROADMAP motivating case) truncated DFS plateaus at incumbent 4.0
 //!   under small node caps; `BestBound` must find 3.0 within the same
