@@ -33,7 +33,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One flat JSON object under construction.
 #[derive(Debug, Clone, Default)]
@@ -107,18 +107,29 @@ fn escape(s: &str) -> String {
 }
 
 /// Where records for `file_name` go: the `env_var` override when set, or
-/// `file_name` at the workspace root (`cargo bench` changes the working
-/// directory to the package, so the path is anchored at compile time
-/// instead).
+/// `file_name` at the nearest workspace root at or above the current
+/// directory (`cargo bench` runs in the package directory, so the current
+/// directory itself is not the root). Resolved when the program runs, so
+/// a build moved or copied after compilation writes into its own
+/// checkout. Outside any workspace the current directory is used.
 pub fn bench_json_path_named(env_var: &str, file_name: &str) -> PathBuf {
     if let Some(p) = std::env::var_os(env_var) {
         return PathBuf::from(p);
     }
-    let workspace_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root_from(&cwd).unwrap_or(cwd).join(file_name)
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` declares
+/// a `[workspace]` table, or `None` when no ancestor does.
+fn workspace_root_from(start: &Path) -> Option<PathBuf> {
+    start
         .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root two levels up");
-    workspace_root.join(file_name)
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// The MILP perf log: `$BENCH_MILP_PATH` or `BENCH_milp.json`.
@@ -148,7 +159,7 @@ pub fn append_markov(records: &[JsonRecord]) {
 /// The read-modify-write is **not** atomic: run the perf harnesses
 /// sequentially (as `scripts/ci.sh` does); concurrent writers to the
 /// same file are last-writer-wins.
-pub fn append_to(path: &std::path::Path, records: &[JsonRecord]) {
+pub fn append_to(path: &Path, records: &[JsonRecord]) {
     let mut lines: Vec<String> = match fs::read_to_string(path) {
         Ok(existing) if existing.trim_start().starts_with('[') => existing
             .lines()
@@ -199,5 +210,27 @@ mod tests {
         assert!(text.contains(r#"{"kind":"a","x":1}"#));
         assert!(text.contains(r#"{"kind":"b","x":2}"#));
         assert_eq!(text.matches('{').count(), 2);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_manifest_above_the_start() {
+        let root = std::env::temp_dir().join(format!("bench_log_root_{}", std::process::id()));
+        let package = root.join("crates").join("bench");
+        let src = package.join("src");
+        fs::create_dir_all(&src).unwrap();
+        fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/bench\"]\n",
+        )
+        .unwrap();
+        fs::write(package.join("Cargo.toml"), "[package]\nname = \"bench\"\n").unwrap();
+        // A package manifest is passed over; the start directory counts.
+        assert_eq!(workspace_root_from(&src), Some(root.clone()));
+        assert_eq!(workspace_root_from(&package), Some(root.clone()));
+        assert_eq!(workspace_root_from(&root), Some(root.clone()));
+        // A nested workspace (like a separately built tool) is its own root.
+        fs::write(package.join("Cargo.toml"), "[package]\n\n[workspace]\n").unwrap();
+        assert_eq!(workspace_root_from(&src), Some(package.clone()));
+        fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -53,11 +53,11 @@
 //!   warm-start A/B baseline). Every variable shape branches natively: a
 //!   box `[lo, hi]` on a shifted, mirrored, or free (split-pair) integer
 //!   translates to standard-form column-bound updates via
-//!   [`ColMap::box_updates`], so warm starts, steepest-edge weights, and
-//!   pseudo-costs survive across nodes for all of them. The dense
-//!   tableau is a kernel-level oracle only — rung 6 of the per-node
-//!   recovery ladder, plus a whole-solve cross-validation pass when
-//!   [`Kernel::DenseTableau`] is requested for a MILP (the search runs
+//!   [`ColMap::box_updates`], so warm starts and pseudo-costs survive
+//!   across nodes for all of them. The dense tableau is a kernel-level
+//!   oracle only — rung 6 of the per-node recovery ladder, plus a
+//!   whole-solve cross-validation pass when [`Kernel::DenseTableau`] is
+//!   requested for a MILP (the search runs
 //!   the warm backend in the oracle configuration from
 //!   [`SolverOptions::resolve`], then the incumbent's integer assignment
 //!   is pinned and re-solved by the genuine dense tableau, which must
@@ -83,6 +83,16 @@ use crate::recover::RecoveryStats;
 use crate::revised::{BasisState, Revised};
 use crate::solution::{Solution, SolveError, Status};
 use crate::standard::{BoxedForm, ColMap};
+
+/// Reliability threshold of pseudo-cost branching: a variable direction
+/// with fewer recorded observations than this is strong-branched
+/// instead of trusted.
+const RELIABILITY: u64 = 4;
+/// Dual-simplex pivot budget of one strong-branch probe.
+const STRONG_BRANCH_PIVOTS: usize = 100;
+/// At most this many unreliable candidates are strong-branched per node
+/// (the rest fall back to their pseudo-cost estimates).
+const STRONG_BRANCH_CANDIDATES: usize = 8;
 
 /// Search statistics of the last branch-and-bound run (diagnostics and
 /// perf telemetry).
@@ -165,13 +175,13 @@ pub struct BranchBoundStats {
     /// Basis-change pivots performed by the primal phases, including
     /// artificial drive-out swaps.
     pub primal_pivots: usize,
-    /// Bound flips: primal span-exhausted entering columns plus the
-    /// long-step dual ratio test's flipped candidates
+    /// Bound flips: primal entering columns whose span was exhausted
+    /// before any basic variable blocked
     /// (`dual_pivots + primal_pivots + bound_flips = simplex_iters`).
     pub bound_flips: usize,
-    /// Pricing reference frameworks reset to units: drifted dual
-    /// steepest-edge weights (also recorded in `recovery`) plus routine
-    /// Devex reference resets (see [`crate::Pricing`]).
+    /// Always 0: the kernel prices by Dantzig's rule and keeps no
+    /// reference weights to reset (see the crate-level "Simplex
+    /// pricing" docs). Kept so existing stats consumers still read it.
     pub weight_resets: usize,
     /// What [`SolverOptions::resolve`] normalized in the requested
     /// options before the search ran (one note per overridden knob;
@@ -629,10 +639,9 @@ impl<'a> WarmBackend<'a> {
         stats.peak_u_nnz = stats.peak_u_nnz.max(self.kernel.factor_stats.peak_u_nnz);
         stats.basis_rows = self.kernel.dims().0;
         stats.recovery.absorb(self.kernel.recovery());
-        stats.dual_pivots += self.kernel.pricing_stats.dual_pivots;
-        stats.primal_pivots += self.kernel.pricing_stats.primal_pivots;
-        stats.bound_flips += self.kernel.pricing_stats.bound_flips;
-        stats.weight_resets += self.kernel.pricing_stats.weight_resets;
+        stats.dual_pivots += self.kernel.pivot_stats.dual_pivots;
+        stats.primal_pivots += self.kernel.pivot_stats.primal_pivots;
+        stats.bound_flips += self.kernel.pivot_stats.bound_flips;
     }
 
     /// Checks every inactive cut against `sol`, activates the violated
@@ -676,7 +685,7 @@ impl<'a> WarmBackend<'a> {
             return ProbeOutcome::Skipped;
         }
         self.set_var_box(vi, lo, hi);
-        let mut budget = opts.strong_branch_pivots;
+        let mut budget = STRONG_BRANCH_PIVOTS;
         let out = match self.kernel.dual_reopt(opts, &mut budget) {
             Ok(()) if !self.kernel.has_active_artificial(1e-6) => ProbeOutcome::Bound(
                 self.model
@@ -883,75 +892,73 @@ pub(crate) fn select_branch_var(
         return Some((cands[0].v, cands[0].val));
     }
     // Reliability rule: strong-branch the most fractional candidates
-    // whose weaker direction has fewer than `reliability` observations.
-    if opts.reliability > 0 && opts.strong_branch_candidates > 0 {
-        let mut unreliable: Vec<usize> = (0..cands.len())
-            .filter(|&i| {
-                let vi = cands[i].v.index();
-                let seen = pseudo
-                    .observations(vi, false)
-                    .min(pseudo.observations(vi, true));
-                (seen as usize) < opts.reliability
-            })
-            .collect();
-        unreliable.sort_by(|&a, &b| {
-            cands[b]
-                .frac
-                .total_cmp(&cands[a].frac)
-                .then(cands[a].v.index().cmp(&cands[b].v.index()))
-        });
-        unreliable.truncate(opts.strong_branch_candidates);
-        for i in unreliable {
-            let (vi, val, fd, fu) = {
-                let c = &cands[i];
-                (c.v.index(), c.val, c.fd, c.fu)
-            };
-            let (l, h) = (lo[vi], hi[vi]);
-            let node_obj = sense_mul * sol.objective;
-            let (floor, ceil) = (val.floor(), val.ceil());
-            // An empty child box is an infeasible side by construction.
-            let down = if l <= h.min(floor) {
-                backend.probe_branch(opts, vi, l, h.min(floor), l, h)
-            } else {
-                ProbeOutcome::Infeasible
-            };
-            let up = if l.max(ceil) <= h {
-                backend.probe_branch(opts, vi, l.max(ceil), h, l, h)
-            } else {
-                ProbeOutcome::Infeasible
-            };
-            let mut probed = false;
-            for (out, is_up, f) in [(down, false, fd), (up, true, fu)] {
-                match out {
-                    ProbeOutcome::Bound(obj) => {
-                        probed = true;
-                        let degrade = (sense_mul * obj - node_obj).max(0.0);
-                        if f > opts.int_tol {
-                            pseudo.record(vi, is_up, degrade / f);
-                            stats.pseudo_updates += 1;
-                        }
-                        let slot = if is_up {
-                            &mut cands[i].up
-                        } else {
-                            &mut cands[i].down
-                        };
-                        *slot = degrade;
+    // whose weaker direction has fewer than `RELIABILITY` observations.
+    let mut unreliable: Vec<usize> = (0..cands.len())
+        .filter(|&i| {
+            let vi = cands[i].v.index();
+            let seen = pseudo
+                .observations(vi, false)
+                .min(pseudo.observations(vi, true));
+            seen < RELIABILITY
+        })
+        .collect();
+    unreliable.sort_by(|&a, &b| {
+        cands[b]
+            .frac
+            .total_cmp(&cands[a].frac)
+            .then(cands[a].v.index().cmp(&cands[b].v.index()))
+    });
+    unreliable.truncate(STRONG_BRANCH_CANDIDATES);
+    for i in unreliable {
+        let (vi, val, fd, fu) = {
+            let c = &cands[i];
+            (c.v.index(), c.val, c.fd, c.fu)
+        };
+        let (l, h) = (lo[vi], hi[vi]);
+        let node_obj = sense_mul * sol.objective;
+        let (floor, ceil) = (val.floor(), val.ceil());
+        // An empty child box is an infeasible side by construction.
+        let down = if l <= h.min(floor) {
+            backend.probe_branch(opts, vi, l, h.min(floor), l, h)
+        } else {
+            ProbeOutcome::Infeasible
+        };
+        let up = if l.max(ceil) <= h {
+            backend.probe_branch(opts, vi, l.max(ceil), h, l, h)
+        } else {
+            ProbeOutcome::Infeasible
+        };
+        let mut probed = false;
+        for (out, is_up, f) in [(down, false, fd), (up, true, fu)] {
+            match out {
+                ProbeOutcome::Bound(obj) => {
+                    probed = true;
+                    let degrade = (sense_mul * obj - node_obj).max(0.0);
+                    if f > opts.int_tol {
+                        pseudo.record(vi, is_up, degrade / f);
+                        stats.pseudo_updates += 1;
                     }
-                    ProbeOutcome::Infeasible => {
-                        probed = true;
-                        let slot = if is_up {
-                            &mut cands[i].up
-                        } else {
-                            &mut cands[i].down
-                        };
-                        *slot = f64::INFINITY;
-                    }
-                    ProbeOutcome::Skipped => {}
+                    let slot = if is_up {
+                        &mut cands[i].up
+                    } else {
+                        &mut cands[i].down
+                    };
+                    *slot = degrade;
                 }
+                ProbeOutcome::Infeasible => {
+                    probed = true;
+                    let slot = if is_up {
+                        &mut cands[i].up
+                    } else {
+                        &mut cands[i].down
+                    };
+                    *slot = f64::INFINITY;
+                }
+                ProbeOutcome::Skipped => {}
             }
-            if probed {
-                stats.strong_branches += 1;
-            }
+        }
+        if probed {
+            stats.strong_branches += 1;
         }
     }
     // Product-rule scoring, probe results overriding estimates.
@@ -1503,18 +1510,18 @@ mod tests {
             x.push(row);
         }
         let mut obj = LinExpr::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                obj += cost[i][j] * x[i][j];
+        for (costs, row) in cost.iter().zip(&x) {
+            for (&c, &v) in costs.iter().zip(row) {
+                obj += c * v;
             }
         }
         m.set_objective(obj);
         for i in 0..3 {
             let mut r = LinExpr::new();
             let mut c = LinExpr::new();
-            for j in 0..3 {
-                r += LinExpr::var(x[i][j]);
-                c += LinExpr::var(x[j][i]);
+            for (&v, row) in x[i].iter().zip(&x) {
+                r += LinExpr::var(v);
+                c += LinExpr::var(row[i]);
             }
             m.add_constraint(r, cmp::EQ, 1.0);
             m.add_constraint(c, cmp::EQ, 1.0);
@@ -1634,7 +1641,7 @@ mod tests {
         };
         let (_, stats) = solve_with_stats(&m, &oracle).unwrap();
         assert_eq!(stats.resolve_notes, oracle.resolve().1);
-        for knob in ["workers", "pricing", "update", "factor", "warm_start"] {
+        for knob in ["workers", "update", "factor", "warm_start"] {
             assert!(
                 stats.resolve_notes.iter().any(|n| n.starts_with(knob)),
                 "no {knob} note in {:?}",

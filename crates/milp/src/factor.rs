@@ -107,6 +107,12 @@ const FT_MULT_MAX: f64 = 1e8;
 /// the cancellation drop the Markowitz factorization applies).
 const FT_DROP_REL: f64 = 1e-14;
 
+/// The kernel's [`FactorConfig::fill_growth`]: refactorize once the
+/// update fill exceeds eight times the snapshot LU's nonzeros (dense etas
+/// make FTRAN/BTRAN pay their fill on every solve, so a heavy file is
+/// flushed before the length cap).
+const REFACTOR_FILL_GROWTH: f64 = 8.0;
+
 /// Resolved refactorization policy plus snapshot kind, derived from
 /// [`SolverOptions`](crate::SolverOptions) by the kernel.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +145,7 @@ impl FactorConfig {
             kind: opts.factor,
             update,
             max_etas: opts.refactor_eta_len,
-            fill_growth: opts.refactor_fill_growth,
+            fill_growth: REFACTOR_FILL_GROWTH,
         }
     }
 }

@@ -35,13 +35,11 @@
 //!   solves that are column-oriented with zero skipping (cost tracks
 //!   the fill-in of the sparse right-hand sides, not `m²`), and the
 //!   update state is flushed by refactorization when it grows long or
-//!   heavy ([`SolverOptions::refactor_eta_len`] /
-//!   [`SolverOptions::refactor_fill_growth`]), or eagerly when an
-//!   unstable update is refused;
-//! * pricing maintains **steepest-edge reference weights in both
-//!   simplex directions** ([`SolverOptions::pricing`], see "Pricing"
-//!   below), with an automatic **Bland fallback** after a long
-//!   degenerate run;
+//!   heavy ([`SolverOptions::refactor_eta_len`], or update fill beyond
+//!   eight times the snapshot's nonzeros), or eagerly when an unstable
+//!   update is refused;
+//! * pricing is **Dantzig's rule** with an automatic **Bland fallback**
+//!   after a long degenerate run (see "Simplex pricing" below);
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
 //!   right-hand-side or bound mutations from any dual-feasible basis.
 //!
@@ -55,59 +53,33 @@
 //! install, then a cold two-phase solve; `SolverOptions { warm_start:
 //! false, .. }` forces cold node solves for A/B comparisons.
 //!
-//! # Pricing
+//! # Simplex pricing
 //!
-//! Which candidate a simplex iteration pivots on is the largest
-//! per-pivot cost lever in the warm branch & bound hot path — nearly
-//! every node LP is a dual reoptimization of a few pivots, so pivots
-//! *saved* multiply across tens of thousands of nodes.
-//! [`SolverOptions::pricing`] selects the rule:
+//! The kernel has one pricing rule. The primal phases enter the column
+//! with the largest dual violation (most negative reduced cost at a
+//! lower bound, most positive at an upper bound). The dual reoptimizer
+//! leaves on the row with the worst box violation, judged relative to
+//! the row's own scale, and enters the column with the smallest
+//! `|rc|/|α|` ratio, one breakpoint per pivot, pricing against duals
+//! recomputed by one BTRAN every pivot. A long degenerate run switches
+//! the primal loop to Bland's rule until the objective moves again;
+//! rung 5 of the recovery ladder forces Bland from the first pivot.
 //!
-//! * [`Pricing::SteepestEdge`] (the default). The **dual reoptimizer**
-//!   picks its leaving row by `violation²/β_r` against maintained
-//!   reference weights `β_r ≈ ‖B⁻ᵀe_r‖²` (dual steepest edge): a large
-//!   violation along a short edge is a genuinely better exit than a
-//!   huge violation along a badly scaled one. Rows join the reference
-//!   framework **lazily**: a row's weight is anchored to its exact
-//!   norm the first time the scan surfaces it (the `ρ = B⁻ᵀe_r` the
-//!   ratio test needs anyway makes `‖ρ‖²` free) and is maintained from
-//!   then on by the Forrest–Goldfarb recurrence — one extra triangular
-//!   solve (`τ = B⁻¹ρ`) per pivot; unanchored rows keep the unit
-//!   baseline and never feed the recurrence, since folding a norm the
-//!   basis never had through it manufactures garbage weights. Both
-//!   frameworks ride across **both** pivot directions (a primal pivot
-//!   applies the same Forrest–Goldfarb update from its own pivot row),
-//!   so a warm-started node's first dual pivots price against the
-//!   weights the previous node earned instead of cold units.
-//!   **Maintenance is self-checking:** every selection corrects the
-//!   chosen row's weight against its exact norm, and a gross mismatch
-//!   on a framework member (beyond a fixed drift factor) is recorded
-//!   as a [`NumericalEvent::WeightDrift`] and answered by restarting
-//!   the framework, a pricing-tier recovery rung: quality dips for a
-//!   few pivots, correctness never.
-//!   Reduced costs are maintained **incrementally** across dual pivots
-//!   (`rc_j ← rc_j − γ·α_j` from the ratio scan's own column pass)
-//!   instead of recomputing the full dual vector by BTRAN every pivot.
-//!   The dual ratio test takes **long steps** (bound-flip ratio test):
-//!   entering candidates whose box span the dual step exhausts flip
-//!   bounds and the scan continues, so one pivot crosses many
-//!   breakpoints — on box-heavy MILP nodes this collapses chains of
-//!   degenerate pivots into single basis changes. The **primal** loop
-//!   prices by Devex reference weights (`rc²/w_j`, projected steepest
-//!   edge without the exact-norm solves); overflowing frameworks reset
-//!   to units (routine, counted in
-//!   [`BranchBoundStats::weight_resets`] but not a numerical event).
-//! * [`Pricing::Dantzig`] preserves the historical behavior bit-exactly
-//!   — raw worst violation / most negative reduced cost, one
-//!   breakpoint per dual pivot, duals recomputed every pivot. The
-//!   trajectory goldens pin this mode so their numbers stay comparable
-//!   across PRs.
+//! Steepest-edge pricing (dual steepest-edge rows with lazily anchored
+//! Forrest–Goldfarb weights, primal Devex, a long-step dual ratio test
+//! and incrementally maintained reduced costs) was the default for a
+//! while and has been removed. It saved pivots on node-capped runs, but
+//! on the repository benchmark (2-vCPU host) it won no workload: the
+//! 20-edge Table-2 sweep took 42–48 s under it against 31–35 s under
+//! Dantzig, and proved 15 instead of 17 of the 18 circuits; the large
+//! direct MILP solves ran about 16% faster under it but returned
+//! incumbents 12% worse (ξ ratio 1.21 against 1.06); the ξ-certification
+//! workload, which solves no MILP, tied.
 //!
 //! Directional pivot counters ([`BranchBoundStats::dual_pivots`] /
 //! [`BranchBoundStats::primal_pivots`] /
-//! [`BranchBoundStats::bound_flips`]) make the split observable; the
-//! `pricing_comparison` bench arm gates steepest edge on actually
-//! reducing total pivots on the cap-1000 `MAX_THR` runs.
+//! [`BranchBoundStats::bound_flips`]) make the split between the warm
+//! dual hot path and the primal phases observable.
 //!
 //! # Failure taxonomy and recovery ladder
 //!
@@ -139,9 +111,8 @@
 //! under tight node caps. Every integer variable shape branches
 //! natively: a node box on a shifted, mirrored (upper-bounded, lower
 //! −∞), or fully free (split-pair) integer translates to in-place
-//! column-bound updates on the bounded-variable form, so warm starts,
-//! steepest-edge weights, and pseudo-costs survive across nodes for
-//! every model. The historical rebuild-per-node `LegacyBackend` is
+//! column-bound updates on the bounded-variable form, so warm starts
+//! and pseudo-costs survive across nodes for every model. The historical rebuild-per-node `LegacyBackend` is
 //! gone; see the `branch_bound` module docs.
 //!
 //! # Branching and node scoring
@@ -151,12 +122,10 @@
 //! * [`Branching::PseudoCost`] (the default) maintains per-variable,
 //!   per-direction **pseudo-costs** — running means of the observed LP
 //!   bound degradation per unit of fractionality — learned from every
-//!   expanded child. Until a variable's history is *reliable*
-//!   ([`SolverOptions::reliability`] observations per direction), the
-//!   most fractional unreliable candidates are **strong-branched**: both
-//!   children get a bounded dual-simplex probe
-//!   ([`SolverOptions::strong_branch_pivots`], capped at
-//!   [`SolverOptions::strong_branch_candidates`] candidates per node)
+//!   expanded child. Until a variable's history is *reliable* (four
+//!   observations per direction), the most fractional unreliable
+//!   candidates are **strong-branched**: both children get a dual-simplex
+//!   probe of at most 100 pivots, for at most eight candidates per node,
 //!   and the observed degradations seed the table. The candidate
 //!   maximizing the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is
 //!   branched; a probe that proves a child infeasible biases selection
@@ -290,8 +259,8 @@ mod standard;
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
 pub use model::{
-    cmp, Branching, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense,
-    SolverOptions, UpdateKind, Variable,
+    cmp, Branching, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions,
+    UpdateKind, Variable,
 };
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};

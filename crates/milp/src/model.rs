@@ -127,9 +127,9 @@ pub enum Kernel {
     /// relaxations solve directly on the tableau. A branch & bound
     /// search requested with this kernel runs the unified warm revised
     /// backend in the oracle configuration ([`SolverOptions::resolve`]:
-    /// dense factors, product-form updates, Dantzig pricing, cold node
-    /// solves, one worker) and then cross-validates the incumbent's
-    /// pinned integer assignment against the genuine dense tableau.
+    /// dense factors, product-form updates, cold node solves, one
+    /// worker) and then cross-validates the incumbent's pinned integer
+    /// assignment against the genuine dense tableau.
     DenseTableau,
 }
 
@@ -170,33 +170,6 @@ pub enum UpdateKind {
     ProductForm,
 }
 
-/// Pricing rule of the revised simplex kernel — how the primal phase
-/// picks its entering column and how the dual reoptimizer picks its
-/// leaving row (see the crate-level "Pricing" docs). Under
-/// [`Kernel::DenseTableau`] this is normalized to [`Pricing::Dantzig`]
-/// by [`SolverOptions::resolve`] — the tableau oracle's one rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Steepest-edge-style pricing in both simplex directions: the dual
-    /// reoptimizer normalizes each row's box violation by a maintained
-    /// reference weight `‖B⁻ᵀe_r‖²` (updated per pivot from the vectors
-    /// the pivot already computed, with a drift check that resets the
-    /// reference framework through the recovery ladder), the primal
-    /// phase prices by Devex reference weights instead of the bare
-    /// reduced cost, and the dual ratio test takes **long steps**:
-    /// entering candidates whose box span is exhausted flip bounds and
-    /// the scan continues, so one dual pivot can cross many
-    /// breakpoints. The production default.
-    #[default]
-    SteepestEdge,
-    /// The historical rule: Dantzig (most negative reduced cost /
-    /// worst absolute violation) with the automatic Bland fallback,
-    /// no reference weights, one breakpoint per dual pivot. The
-    /// bit-exact trajectory goldens pin this mode so their numbers
-    /// stay comparable across PRs.
-    Dantzig,
-}
-
 /// Node selection strategy of the branch & bound search (see the
 /// `branch_bound` module docs for the search-core architecture).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -221,13 +194,13 @@ pub enum NodeOrder {
 pub enum Branching {
     /// Pseudo-cost (reliability) branching: per-variable up/down
     /// pseudo-costs are learned from the bound degradations the search
-    /// observes; a variable whose direction has fewer than
-    /// [`SolverOptions::reliability`] observations is strong-branched
-    /// (both children dual-reoptimized under a small pivot budget)
-    /// before its pseudo-cost is trusted. Candidates are scored by the
-    /// product rule and, under [`NodeOrder::BestBound`], queued children
-    /// are ordered by a best-estimate key instead of the raw parent
-    /// bound. The production default.
+    /// observes; a variable whose direction has fewer than four
+    /// observations is strong-branched (both children dual-reoptimized
+    /// under a small pivot budget) before its pseudo-cost is trusted.
+    /// Candidates are scored by the product rule and, under
+    /// [`NodeOrder::BestBound`], queued children are ordered by a
+    /// best-estimate key instead of the raw parent bound. The
+    /// production default.
     #[default]
     PseudoCost,
     /// Highest priority class first, most fractional within it, ties
@@ -283,12 +256,6 @@ pub struct SolverOptions {
     /// Eta-file length that triggers a refactorization; `0` (the
     /// default) resolves to `max(64, 2m)` for a basis of `m` rows.
     pub refactor_eta_len: usize,
-    /// Refactorize when the eta file's accumulated fill exceeds this
-    /// multiple of the snapshot LU's nonzero count (dense etas make
-    /// FTRAN/BTRAN pay their fill on every solve, so a heavy file is
-    /// flushed before the length cap); `<= 0` or non-finite disables the
-    /// fill trigger.
-    pub refactor_fill_growth: f64,
     /// Deterministic fault-injection plan (see
     /// [`FaultPlan`](crate::FaultPlan) and the `recover` module docs).
     /// `None` — the default — injects nothing; the recovery ladder and
@@ -305,19 +272,6 @@ pub struct SolverOptions {
     pub workers: usize,
     /// Branching-variable selection rule (see [`Branching`]).
     pub branching: Branching,
-    /// Reliability threshold of pseudo-cost branching: a variable
-    /// direction with fewer recorded observations than this is
-    /// strong-branched instead of trusted (0 disables strong branching
-    /// entirely — pseudo-costs then initialize from node observations
-    /// only).
-    pub reliability: usize,
-    /// Dual-simplex pivot budget of one strong-branch probe.
-    pub strong_branch_pivots: usize,
-    /// At most this many unreliable candidates are strong-branched per
-    /// node (the rest fall back to their pseudo-cost estimates).
-    pub strong_branch_candidates: usize,
-    /// Simplex pricing rule (see [`Pricing`]).
-    pub pricing: Pricing,
 }
 
 impl Default for SolverOptions {
@@ -341,14 +295,9 @@ impl Default for SolverOptions {
             update: UpdateKind::ForrestTomlin,
             node_order: NodeOrder::DfsNearerFirst,
             refactor_eta_len: 0,
-            refactor_fill_growth: 8.0,
             faults: None,
             workers: 1,
             branching: Branching::PseudoCost,
-            reliability: 4,
-            strong_branch_pivots: 100,
-            strong_branch_candidates: 8,
-            pricing: Pricing::SteepestEdge,
         }
     }
 }
@@ -362,21 +311,25 @@ impl SolverOptions {
         }
     }
 
-    /// Resolves the requested options into the configuration the engine
-    /// actually runs, normalizing — in this one place — every knob
-    /// combination the engine cannot honor. Returns the effective
-    /// options plus one human-readable note per normalized knob, so
-    /// callers surface what changed instead of silently ignoring
-    /// settings at scattered call sites.
+    /// Resolves the requested options into the configuration the branch
+    /// & bound engine actually runs, normalizing — in this one place —
+    /// every knob combination the engine cannot honor. Returns the
+    /// effective options plus one human-readable note per normalized
+    /// knob, so callers surface what changed instead of silently
+    /// ignoring settings at scattered call sites.
+    ///
+    /// This is the branch & bound entry's normalizer: every knob it
+    /// touches configures the search. A plain LP solve
+    /// ([`Model::solve_relaxation`]) reads none of them and runs the
+    /// options as given.
     ///
     /// Normalizations:
     /// * `workers == 0` becomes `1` (a solve needs one worker).
     /// * [`Kernel::DenseTableau`] is an oracle request: the search runs
     ///   the unified warm revised backend pinned to the dense-oracle
-    ///   setup — one worker, [`Pricing::Dantzig`],
-    ///   [`UpdateKind::ProductForm`], [`FactorKind::Dense`], cold node
-    ///   solves — and the incumbent is cross-validated against the
-    ///   genuine dense tableau afterwards.
+    ///   setup — one worker, [`UpdateKind::ProductForm`],
+    ///   [`FactorKind::Dense`], cold node solves — and the incumbent is
+    ///   cross-validated against the genuine dense tableau afterwards.
     ///
     /// Deliberately *not* normalized: [`FactorKind::Dense`] +
     /// [`UpdateKind::ForrestTomlin`] (the dense factor internally
@@ -396,13 +349,6 @@ impl SolverOptions {
                     eff.workers
                 ));
                 eff.workers = 1;
-            }
-            if eff.pricing != Pricing::Dantzig {
-                notes.push(format!(
-                    "pricing: {:?} -> Dantzig (the tableau oracle's one rule)",
-                    eff.pricing
-                ));
-                eff.pricing = Pricing::Dantzig;
             }
             if eff.update != UpdateKind::ProductForm {
                 notes.push(format!(
@@ -739,18 +685,15 @@ impl Model {
         &self,
         opts: &SolverOptions,
     ) -> Result<(Solution, usize), SolveError> {
-        // Both kernels run off the same resolved options — the one
-        // normalization point for every unsupported-knob combination.
-        let (opts, _notes) = opts.resolve();
         let (values, pivots) = match opts.kernel {
             Kernel::Revised => {
                 let bf = crate::standard::BoxedForm::build(self);
-                let (raw, pivots) = crate::revised::solve(&bf, &opts)?;
+                let (raw, pivots) = crate::revised::solve(&bf, opts)?;
                 (bf.sf.recover(&raw), pivots)
             }
             Kernel::DenseTableau => {
                 let sf = StandardForm::build(self);
-                let (raw, pivots) = simplex::solve(&sf, &opts)?;
+                let (raw, pivots) = simplex::solve(&sf, opts)?;
                 (sf.recover(&raw), pivots)
             }
         };
@@ -799,7 +742,6 @@ mod tests {
         let (eff, notes) = SolverOptions::default().resolve();
         assert!(notes.is_empty(), "defaults must pass through: {notes:?}");
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.pricing, Pricing::SteepestEdge);
 
         let (eff, notes) = SolverOptions {
             workers: 0,
@@ -817,13 +759,14 @@ mod tests {
         .resolve();
         assert_eq!(eff.kernel, Kernel::DenseTableau);
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.pricing, Pricing::Dantzig);
         assert_eq!(eff.update, UpdateKind::ProductForm);
         assert_eq!(eff.factor, FactorKind::Dense);
         assert!(!eff.warm_start);
-        // workers, pricing, update, factor, warm_start each noted.
-        assert_eq!(notes.len(), 5, "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("pricing")), "{notes:?}");
+        // workers, update, factor, warm_start each noted.
+        assert_eq!(notes.len(), 4, "{notes:?}");
+        for knob in ["workers", "update", "factor", "warm_start"] {
+            assert!(notes.iter().any(|n| n.starts_with(knob)), "{notes:?}");
+        }
 
         // Dense factor + Forrest–Tomlin under the revised kernel is a
         // documented internal degradation, not an option conflict.

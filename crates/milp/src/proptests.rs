@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use crate::factor::{Eta, Factor, FactorConfig};
 use crate::model::{
-    cmp, Branching, FactorKind, Kernel, Model, NodeOrder, Pricing, Sense, SolverOptions, UpdateKind,
+    cmp, Branching, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind,
 };
 use crate::solution::SolveError;
 use crate::LinExpr;
@@ -848,54 +848,71 @@ proptest! {
         );
     }
 
-    /// **Pricing oracle**: steepest-edge pricing (dual steepest-edge
-    /// rows, Devex columns, long-step ratio test, incremental reduced
-    /// costs) changes which pivots the simplex takes, never which answer
-    /// comes out. For every `NodeOrder` × `workers ∈ {1, 2}` combination,
-    /// completed runs under both pricing rules must agree on the
-    /// objective and return feasible integral points.
+    /// **Pricing oracle**: the entering-column rule (Dantzig with a
+    /// Bland fallback after a degenerate run, or Bland from the first
+    /// pivot) changes which pivots the simplex takes, never which answer
+    /// comes out. Both rules must reach the same LP-relaxation optimum,
+    /// and for every `NodeOrder` × `workers ∈ {1, 2}` combination,
+    /// completed warm searches must agree on the MILP objective and
+    /// return feasible integral points.
     #[test]
     fn pricing_rules_agree_on_milp_objectives(lp in planted_lp(5, 4)) {
+        let relaxed = PlantedLp {
+            integers: vec![false; lp.nvars],
+            ..lp.clone()
+        };
+        let (rm, _rvars) = relaxed.build();
+        let bf = crate::standard::BoxedForm::build(&rm);
+        let root = |force_bland: bool| -> Result<f64, SolveError> {
+            let opts = SolverOptions::default();
+            let mut k = crate::revised::Revised::new(&bf, &opts);
+            k.set_force_bland(force_bland);
+            let mut budget = opts.max_pivots;
+            k.solve_two_phase(&opts, &mut budget)?;
+            let v = bf.sf.recover(&k.values());
+            Ok(lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum())
+        };
+        let dantzig = root(false).expect("planted LP must be feasible");
+        let bland = root(true).expect("planted LP must be feasible");
+        prop_assert!(
+            (dantzig - bland).abs() < 1e-6,
+            "dantzig {dantzig} vs bland {bland} on the LP relaxation"
+        );
+
         let (m, _vars) = lp.build();
         let mut reference: Option<f64> = None;
         for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
             for workers in [1usize, 2] {
-                for pricing in [Pricing::SteepestEdge, Pricing::Dantzig] {
-                    let opts = SolverOptions {
-                        max_nodes: 4_000,
-                        node_order: order,
-                        workers,
-                        pricing,
-                        ..Default::default()
-                    };
-                    let (sol, stats) =
-                        crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
-                    prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
-                    if stats.truncated {
-                        continue;
-                    }
-                    match reference {
-                        None => reference = Some(sol.objective),
-                        Some(r) => prop_assert!(
-                            (sol.objective - r).abs() < 1e-7,
-                            "{order:?}/workers={workers}/{pricing:?}: {} vs reference {}",
-                            sol.objective,
-                            r
-                        ),
-                    }
+                let opts = SolverOptions {
+                    max_nodes: 4_000,
+                    node_order: order,
+                    workers,
+                    ..Default::default()
+                };
+                let (sol, stats) =
+                    crate::solve_with_stats(&m, &opts).expect("planted MILP must be feasible");
+                prop_assert!(m.max_violation(sol.values(), 1e-6) < 1e-5);
+                if stats.truncated {
+                    continue;
+                }
+                match reference {
+                    None => reference = Some(sol.objective),
+                    Some(r) => prop_assert!(
+                        (sol.objective - r).abs() < 1e-7,
+                        "{order:?}/workers={workers}: {} vs reference {}",
+                        sol.objective,
+                        r
+                    ),
                 }
             }
         }
     }
 
-    /// **Incremental reduced-cost oracle**: the steepest-edge dual
-    /// reoptimizer maintains reduced costs across pivots (`rc_j ← rc_j −
-    /// γ·α_j`) where the Dantzig path recomputes the full dual vector by
-    /// BTRAN every pivot. Twin kernels solving the same planted LP, hit
-    /// with the same box tightening, must agree on the repaired optimum
-    /// and on the feasibility verdict — any drift in the maintained
-    /// reduced costs would steer the long-step ratio test to a dual-
-    /// infeasible column and surface here as a diverging objective.
+    /// **Warm-start oracle**: a kernel that solved a planted LP and is
+    /// then hit with a box tightening repairs its optimum by dual
+    /// reoptimization (plus primal cleanup) from the old basis. The
+    /// repaired objective and the feasibility verdict must match a
+    /// dense-tableau solve of the tightened model from scratch.
     #[test]
     fn dual_reopt_pricings_agree_after_box_tightening(
         lp in planted_lp(6, 5),
@@ -906,11 +923,11 @@ proptest! {
             integers: vec![false; lp.nvars],
             ..lp.clone()
         };
-        let (m, _vars) = relaxed.build();
+        let (mut m, vars) = relaxed.build();
         let bf = crate::standard::BoxedForm::build(&m);
         let j = col.index(lp.nvars);
-        let run = |pricing: Pricing| -> Result<f64, SolveError> {
-            let opts = SolverOptions { pricing, ..Default::default() };
+        let warm = || -> Result<f64, SolveError> {
+            let opts = SolverOptions::default();
             let mut k = crate::revised::Revised::new(&bf, &opts);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&opts, &mut budget)?;
@@ -922,16 +939,20 @@ proptest! {
             let v = bf.sf.recover(&k.values());
             Ok(lp.obj.iter().zip(&v).map(|(c, x)| c * x).sum())
         };
-        match (run(Pricing::SteepestEdge), run(Pricing::Dantzig)) {
+        m.tighten_upper(vars[j], 10.0 * frac);
+        let dense = m
+            .solve_with(&SolverOptions { kernel: Kernel::DenseTableau, ..Default::default() })
+            .map(|sol| sol.objective);
+        match (warm(), dense) {
             (Ok(a), Ok(b)) => prop_assert!(
                 (a - b).abs() < 1e-6,
-                "steepest-edge {a} vs dantzig {b} after tightening x{j} to [0, {}]",
+                "warm {a} vs dense oracle {b} after tightening x{j} to [0, {}]",
                 10.0 * frac
             ),
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             (a, b) => prop_assert!(
                 false,
-                "verdicts diverge: steepest-edge {a:?} vs dantzig {b:?}"
+                "verdicts diverge: warm {a:?} vs dense oracle {b:?}"
             ),
         }
     }

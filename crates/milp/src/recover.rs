@@ -8,14 +8,7 @@
 //!
 //! 1. **Retry the Forrest–Tomlin update** from the entering column
 //!    (recomputing the spike) when the spiked update is refused — heals
-//!    a corrupted spike without touching the factors. At the same cost
-//!    tier, a **pricing-weight reset** answers drifted steepest-edge
-//!    reference weights (see the crate-level "Pricing" docs): the dual
-//!    reoptimizer cross-checks the selected row's maintained weight
-//!    against the exact `‖B⁻ᵀe_r‖²` it computes anyway, and when they
-//!    disagree beyond a fixed factor the whole reference framework is
-//!    reset to the unit framework — pricing quality degrades for a few
-//!    pivots, correctness never does.
+//!    a corrupted spike without touching the factors.
 //! 2. **Forced refactorization** of the current basis — the classic
 //!    answer to a refused update or to residual drift.
 //! 3. **Product-form switch** for the node: re-solve under
@@ -78,9 +71,6 @@ pub enum NumericalEvent {
     PivotBudget,
     /// The wall-clock budget ran out (genuine or injected).
     TimeBudget,
-    /// A maintained steepest-edge reference weight disagreed with the
-    /// exactly recomputed `‖B⁻ᵀe_r‖²` beyond the drift factor.
-    WeightDrift,
 }
 
 /// Counters of observed [`NumericalEvent`]s and of recovery-ladder rungs
@@ -100,16 +90,13 @@ pub struct RecoveryStats {
     pub pivot_budget: usize,
     /// [`NumericalEvent::TimeBudget`] observations.
     pub time_budget: usize,
-    /// [`NumericalEvent::WeightDrift`] observations.
+    /// Always 0: the kernel keeps no pricing reference weights that
+    /// could drift (see the crate-level "Simplex pricing" docs). Kept so
+    /// existing ledger consumers still read it.
     pub weight_drift: usize,
     /// Rung 1: refused spiked FT updates healed by recomputing the spike
     /// from the entering column.
     pub ft_retries: usize,
-    /// Rung 1 (pricing tier): steepest-edge reference frameworks reset
-    /// to units after a drifted weight (routine Devex reference resets
-    /// are *not* recovery events and are counted only in
-    /// [`BranchBoundStats::weight_resets`](crate::BranchBoundStats)).
-    pub weight_resets: usize,
     /// Rung 2: refactorizations forced by a refused update or by
     /// residual drift (scheduled policy refactors are not counted here).
     pub forced_refactors: usize,
@@ -135,7 +122,6 @@ impl RecoveryStats {
             NumericalEvent::ResidualDrift => self.residual_drift += 1,
             NumericalEvent::PivotBudget => self.pivot_budget += 1,
             NumericalEvent::TimeBudget => self.time_budget += 1,
-            NumericalEvent::WeightDrift => self.weight_drift += 1,
         }
     }
 
@@ -143,7 +129,6 @@ impl RecoveryStats {
     /// actually fired.
     pub fn rungs_fired(&self) -> usize {
         self.ft_retries
-            + self.weight_resets
             + self.forced_refactors
             + self.product_form_switches
             + self.cold_rebuilds
@@ -159,7 +144,6 @@ impl RecoveryStats {
             + self.residual_drift
             + self.pivot_budget
             + self.time_budget
-            + self.weight_drift
     }
 
     /// Accumulates `other` into `self` (used by test harnesses that
@@ -171,9 +155,7 @@ impl RecoveryStats {
         self.residual_drift += other.residual_drift;
         self.pivot_budget += other.pivot_budget;
         self.time_budget += other.time_budget;
-        self.weight_drift += other.weight_drift;
         self.ft_retries += other.ft_retries;
-        self.weight_resets += other.weight_resets;
         self.forced_refactors += other.forced_refactors;
         self.product_form_switches += other.product_form_switches;
         self.cold_rebuilds += other.cold_rebuilds;

@@ -61,8 +61,8 @@ impl ColMap {
     ///
     /// Because these are pure bound updates, they route through the same
     /// dual-feasibility-preserving [`crate::revised::Revised::set_col_bounds`]
-    /// machinery as ordinary boxed integers: warm starts, steepest-edge
-    /// weights, and pseudo-costs all survive across nodes.
+    /// machinery as ordinary boxed integers: warm starts and pseudo-costs
+    /// survive across nodes.
     pub(crate) fn box_updates(self, lo: f64, hi: f64) -> [Option<(usize, f64, f64)>; 2] {
         match self {
             ColMap::Shifted { col, lb } => [Some((col, lo - lb, hi - lb)), None],

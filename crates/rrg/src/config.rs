@@ -241,7 +241,7 @@ mod tests {
             g.edges()
                 .filter(|(_, e)| {
                     // the top f→m edge is edge with 3 original tokens
-                    true && (e.gamma().is_none() || e.tokens() >= 0)
+                    e.gamma().is_none() || e.tokens() >= 0
                 })
                 .map(|(id, _)| t(id))
                 .sum()

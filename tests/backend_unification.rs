@@ -22,8 +22,8 @@
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, Kernel, LinExpr, Model, NodeOrder, Pricing,
-    Sense, SolverOptions, Status, UpdateKind,
+    cmp, solve_with_stats, Branching, FactorKind, Kernel, LinExpr, Model, NodeOrder, Sense,
+    SolverOptions, Status, UpdateKind,
 };
 
 /// PR 4 golden options: most-fractional + Dantzig + product form, the
@@ -33,7 +33,6 @@ fn golden_opts() -> SolverOptions {
     SolverOptions {
         update: UpdateKind::ProductForm,
         branching: Branching::MostFractional,
-        pricing: Pricing::Dantzig,
         ..SolverOptions::default()
     }
 }
@@ -103,7 +102,6 @@ fn bench20_max_thr_golden_replays_bit_exact_through_the_unified_backend() {
     opts.solver.node_order = NodeOrder::DfsNearerFirst;
     opts.solver.factor = FactorKind::Sparse;
     opts.solver.branching = Branching::MostFractional;
-    opts.solver.pricing = Pricing::Dantzig;
     opts.solver.update = UpdateKind::ProductForm;
     opts.cuts = false;
     let out = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();

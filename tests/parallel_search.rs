@@ -6,7 +6,7 @@
 //!   `search_orders` goldens *bit-exact* (same objective, same node and
 //!   pivot counts, same incumbent trace), and the production
 //!   configuration the benchmark measures (pseudo-cost branching,
-//!   steepest edge, cycle-sum cuts, 0.5 % gap) must replay its pinned
+//!   cycle-sum cuts, 0.5 % gap) must replay its pinned
 //!   `BranchBoundStats` field for field, `node_bounds` bitwise.
 //! * **Schedule independence of verdicts** — `workers ∈ {2, 4}` must
 //!   prove identical optima (≤ 1e-7) and identical verdicts as the
@@ -27,8 +27,8 @@
 use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, LinExpr, Model, NodeOrder, Pricing,
-    Sense, SolverOptions, Status, UpdateKind,
+    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, LinExpr, Model, NodeOrder, Sense,
+    SolverOptions, Status, UpdateKind,
 };
 use rr_rrg::figures;
 use rr_rrg::iscas::IscasProfile;
@@ -46,7 +46,6 @@ fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
     opts.solver.branching = Branching::MostFractional;
-    opts.solver.pricing = Pricing::Dantzig;
     opts.cuts = false;
     opts
 }
@@ -101,7 +100,6 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
     let serial = SolverOptions {
         update: UpdateKind::ProductForm,
         branching: Branching::MostFractional,
-        pricing: Pricing::Dantzig,
         ..SolverOptions::default()
     };
     let explicit = SolverOptions {
@@ -157,8 +155,7 @@ fn one_worker_matches_serial_best_bound_truncated_runs() {
 }
 
 /// The production configuration the benchmark measures: default
-/// `SolverOptions` (pseudo-cost branching, steepest-edge pricing),
-/// cycle-sum cuts on, the `CoreOptions::default()` 0.5 % gap — minus
+/// `SolverOptions` (pseudo-cost branching), cycle-sum cuts on, the `CoreOptions::default()` 0.5 % gap — minus
 /// the wall clock, so only the node cap can stop a search.
 fn production(order: NodeOrder, max_nodes: usize) -> CoreOptions {
     let mut opts = CoreOptions::default();
@@ -225,121 +222,115 @@ fn fingerprint(s: &rr_milp::BranchBoundStats) -> String {
     )
 }
 
-/// `(case, objective bits, stats fingerprint)`, captured before the serial
-/// search core was folded into the worker engine.
+/// `(case, objective bits, stats fingerprint)` under Dantzig pricing, the
+/// kernel's one rule. Captured on a build that differed from the
+/// steepest-edge kernel only in the default pricing rule, so removing
+/// the steepest-edge code left every field unchanged.
 const PRODUCTION_GOLDENS: [(&str, u64, &str); 6] = [
     (
         "bench20/max_thr/DfsNearerFirst",
         4619001555119598635,
         "nodes=37 incumbents=1 truncated=false root_bound=40119c0eeab3dc1a \
-         simplex_iters=855 warm_solves=36 cold_solves=2 refactors=8 \
-         ft_updates=805 forced_refactors=0 peak_u_nnz=315 peak_lu_nnz=726 \
-         basis_rows=80 order=DfsNearerFirst queue_peak=6 first_incumbent_node=0 \
-         incumbent_trace=0:4019fd711de16c2b node_bounds=37/0bc9227442d22328 \
-         strong_branches=74 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
-         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         simplex_iters=818 warm_solves=36 cold_solves=2 refactors=8 ft_updates=816 \
+         forced_refactors=0 peak_u_nnz=357 peak_lu_nnz=734 basis_rows=80 \
+         order=DfsNearerFirst queue_peak=7 first_incumbent_node=0 \
+         incumbent_trace=0:4019fd711de16c2b node_bounds=37/06380d0725f826be \
+         strong_branches=72 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
+         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: 0, \
+         singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
          pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=632 primal_pivots=173 bound_flips=50 \
-         weight_resets=0",
+         forced_refactors: 0, product_form_switches: 0, cold_rebuilds: 0, \
+         bland_restarts: 0, dense_oracle_solves: 0, faults_injected: 0 } \
+         dual_pivots=645 primal_pivots=171 bound_flips=2 weight_resets=0",
     ),
     (
         "bench20/min_cyc/DfsNearerFirst",
         4637617074751072122,
         "nodes=17 incumbents=1 truncated=false root_bound=40337119a56a5ca1 \
-         simplex_iters=1437 warm_solves=16 cold_solves=1 refactors=12 \
-         ft_updates=1405 forced_refactors=0 peak_u_nnz=402 peak_lu_nnz=1300 \
-         basis_rows=75 order=DfsNearerFirst queue_peak=6 first_incumbent_node=0 \
-         incumbent_trace=0:405c202888d2e77a node_bounds=17/3d729629103eb4b9 \
-         strong_branches=46 pseudo_updates=108 cuts_added=0 cuts_activated=0 \
-         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         simplex_iters=1852 warm_solves=16 cold_solves=1 refactors=15 ft_updates=1852 \
+         forced_refactors=0 peak_u_nnz=496 peak_lu_nnz=1536 basis_rows=75 \
+         order=DfsNearerFirst queue_peak=5 first_incumbent_node=0 \
+         incumbent_trace=0:405c202888d2e77a node_bounds=17/beff3a4a6b19dcbf \
+         strong_branches=45 pseudo_updates=106 cuts_added=0 cuts_activated=0 \
+         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: 0, \
+         singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
          pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=1323 primal_pivots=82 bound_flips=32 \
-         weight_resets=5",
+         forced_refactors: 0, product_form_switches: 0, cold_rebuilds: 0, \
+         bland_restarts: 0, dense_oracle_solves: 0, faults_injected: 0 } \
+         dual_pivots=1770 primal_pivots=82 bound_flips=0 weight_resets=0",
     ),
     (
         "s27e20/min_cyc/DfsNearerFirst",
-        4631145387254881707,
-        "nodes=1000 incumbents=4 truncated=true root_bound=403313745c7d730a \
-         simplex_iters=8419 warm_solves=998 cold_solves=2 refactors=81 \
-         ft_updates=8069 forced_refactors=1 peak_u_nnz=578 peak_lu_nnz=2210 \
-         basis_rows=87 order=DfsNearerFirst queue_peak=22 \
-         first_incumbent_node=0 \
-         incumbent_trace=0:4055b94e8503d88e,16:4046a0b3dbfeea64,34:404679e7584584e6,86:404522315e841dab \
-         node_bounds=1000/1e8bc5997289600b strong_branches=87 \
-         pseudo_updates=881 cuts_added=0 cuts_activated=0 \
-         dual_bound=403313745c7d730a recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 1, \
-         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 1, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=7866 primal_pivots=203 \
-         bound_flips=350 weight_resets=55",
+        4631145387254881733,
+        "nodes=1000 incumbents=9 truncated=true root_bound=403313745c7d730a \
+         simplex_iters=10401 warm_solves=999 cold_solves=1 refactors=94 \
+         ft_updates=10400 forced_refactors=1 peak_u_nnz=712 peak_lu_nnz=2139 \
+         basis_rows=87 order=DfsNearerFirst queue_peak=20 first_incumbent_node=0 \
+         incumbent_trace=0:404cfda343776b8e,25:404c1e00acdeb1e5,41:404bcdb87c635ae5,54:404a81399dc24895,72:40487f656d8d1f22,89:4046bef86da08758,99:4046a41b2b7e2256,100:40466eb03d25303a,112:404522315e841dc5 \
+         node_bounds=1000/d0ec739683991e11 strong_branches=73 pseudo_updates=850 \
+         cuts_added=0 cuts_activated=0 dual_bound=403313745c7d730a \
+         recovery=RecoveryStats { unstable_updates: 1, singular_refactors: 1, \
+         cycling_suspected: 0, residual_drift: 0, pivot_budget: 0, time_budget: 0, \
+         weight_drift: 0, ft_retries: 0, forced_refactors: 1, product_form_switches: \
+         0, cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=10174 primal_pivots=226 bound_flips=0 \
+         weight_resets=0",
     ),
     (
         "bench20/max_thr/BestBound",
         4619001555119598635,
         "nodes=37 incumbents=1 truncated=false root_bound=40119c0eeab3dc1a \
-         simplex_iters=855 warm_solves=36 cold_solves=2 refactors=8 \
-         ft_updates=805 forced_refactors=0 peak_u_nnz=315 peak_lu_nnz=726 \
-         basis_rows=80 order=BestBound queue_peak=6 first_incumbent_node=0 \
-         incumbent_trace=0:4019fd711de16c2b node_bounds=37/0bc9227442d22328 \
-         strong_branches=74 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
-         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         simplex_iters=818 warm_solves=36 cold_solves=2 refactors=8 ft_updates=816 \
+         forced_refactors=0 peak_u_nnz=357 peak_lu_nnz=734 basis_rows=80 \
+         order=BestBound queue_peak=7 first_incumbent_node=0 \
+         incumbent_trace=0:4019fd711de16c2b node_bounds=37/06380d0725f826be \
+         strong_branches=72 pseudo_updates=129 cuts_added=5 cuts_activated=5 \
+         dual_bound=4019fd711de16c2b recovery=RecoveryStats { unstable_updates: 0, \
+         singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
          pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=632 primal_pivots=173 bound_flips=50 \
-         weight_resets=0",
+         forced_refactors: 0, product_form_switches: 0, cold_rebuilds: 0, \
+         bland_restarts: 0, dense_oracle_solves: 0, faults_injected: 0 } \
+         dual_pivots=645 primal_pivots=171 bound_flips=2 weight_resets=0",
     ),
     (
         "bench20/min_cyc/BestBound",
         4637617074751072122,
         "nodes=17 incumbents=1 truncated=false root_bound=40337119a56a5ca1 \
-         simplex_iters=1437 warm_solves=16 cold_solves=1 refactors=12 \
-         ft_updates=1405 forced_refactors=0 peak_u_nnz=402 peak_lu_nnz=1300 \
-         basis_rows=75 order=BestBound queue_peak=6 first_incumbent_node=0 \
-         incumbent_trace=0:405c202888d2e77a node_bounds=17/3d729629103eb4b9 \
-         strong_branches=46 pseudo_updates=108 cuts_added=0 cuts_activated=0 \
-         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
+         simplex_iters=1852 warm_solves=16 cold_solves=1 refactors=15 ft_updates=1852 \
+         forced_refactors=0 peak_u_nnz=496 peak_lu_nnz=1536 basis_rows=75 \
+         order=BestBound queue_peak=5 first_incumbent_node=0 \
+         incumbent_trace=0:405c202888d2e77a node_bounds=17/beff3a4a6b19dcbf \
+         strong_branches=45 pseudo_updates=106 cuts_added=0 cuts_activated=0 \
+         dual_bound=405c202888d2e77a recovery=RecoveryStats { unstable_updates: 0, \
+         singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
          pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=1323 primal_pivots=82 bound_flips=32 \
-         weight_resets=5",
+         forced_refactors: 0, product_form_switches: 0, cold_rebuilds: 0, \
+         bland_restarts: 0, dense_oracle_solves: 0, faults_injected: 0 } \
+         dual_pivots=1770 primal_pivots=82 bound_flips=0 weight_resets=0",
     ),
     (
         "s27e20/min_cyc/BestBound",
-        4631145387254881752,
-        "nodes=1000 incumbents=4 truncated=true root_bound=403313745c7d730a \
-         simplex_iters=9130 warm_solves=999 cold_solves=1 refactors=92 \
-         ft_updates=8738 forced_refactors=0 peak_u_nnz=514 peak_lu_nnz=1951 \
-         basis_rows=87 order=BestBound queue_peak=41 first_incumbent_node=0 \
-         incumbent_trace=0:4055b94e8503d88e,16:4046a0b3dbfeea64,34:404679e7584584e6,81:404522315e841dd8 \
-         node_bounds=1000/6e4c46b1595d6feb strong_branches=86 \
-         pseudo_updates=856 cuts_added=0 cuts_activated=0 \
-         dual_bound=403313745c7d730a recovery=RecoveryStats { unstable_updates: \
-         0, singular_refactors: 0, cycling_suspected: 0, residual_drift: 0, \
-         pivot_budget: 0, time_budget: 0, weight_drift: 0, ft_retries: 0, \
-         weight_resets: 0, forced_refactors: 0, product_form_switches: 0, \
-         cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
-         faults_injected: 0 } dual_pivots=8566 primal_pivots=172 \
-         bound_flips=392 weight_resets=45",
+        4631145387254881738,
+        "nodes=1000 incumbents=6 truncated=true root_bound=403313745c7d730a \
+         simplex_iters=10653 warm_solves=999 cold_solves=1 refactors=100 \
+         ft_updates=10650 forced_refactors=3 peak_u_nnz=712 peak_lu_nnz=2070 \
+         basis_rows=87 order=BestBound queue_peak=66 first_incumbent_node=0 \
+         incumbent_trace=0:404cfda343776b8e,25:404c1e00acdeb1e5,38:404a81399dc24885,52:40487f656d8d0790,58:4046a41b2b7e222f,89:404522315e841dca \
+         node_bounds=1000/7af46446e360207a strong_branches=80 pseudo_updates=881 \
+         cuts_added=0 cuts_activated=0 dual_bound=403313745c7d730a \
+         recovery=RecoveryStats { unstable_updates: 3, singular_refactors: 3, \
+         cycling_suspected: 0, residual_drift: 0, pivot_budget: 0, time_budget: 0, \
+         weight_drift: 0, ft_retries: 0, forced_refactors: 3, product_form_switches: \
+         0, cold_rebuilds: 0, bland_restarts: 0, dense_oracle_solves: 0, \
+         faults_injected: 0 } dual_pivots=10501 primal_pivots=149 bound_flips=0 \
+         weight_resets=0",
     ),
 ];
 
 /// Production-configuration goldens at `workers = 1`: bench-20
 /// `MAX_THR`/`MIN_CYC` and the 20-edge s27 `MIN_CYC` (the Table-2 sweep
-/// graph), under both node orders, node cap 3000. Captured before the
-/// serial search core was folded into the worker engine; every field of
-/// the stats struct must replay bit for bit.
+/// graph), under both node orders, node cap 1000. Every field of the
+/// stats struct must replay bit for bit.
 #[test]
 fn one_worker_replays_the_production_configuration_goldens() {
     let s27 = IscasProfile::by_name("s27")

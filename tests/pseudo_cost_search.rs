@@ -20,7 +20,7 @@
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{Branching, FactorKind, NodeOrder, Pricing};
+use rr_milp::{Branching, FactorKind, NodeOrder};
 use rr_rrg::iscas::IscasProfile;
 
 /// The `branching_comparison` bench-arm options, verbatim: `fast()`
@@ -32,7 +32,6 @@ fn opts(branching: Branching, cuts: bool, max_nodes: usize) -> CoreOptions {
     opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 0.02;
     opts.solver.branching = branching;
-    opts.solver.pricing = Pricing::Dantzig;
     opts.cuts = cuts;
     opts
 }

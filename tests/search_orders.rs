@@ -20,8 +20,8 @@
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, LinExpr, Model, NodeOrder, Pricing, Sense,
-    SolverOptions, Status, UpdateKind,
+    cmp, solve_with_stats, Branching, FactorKind, LinExpr, Model, NodeOrder, Sense, SolverOptions,
+    Status, UpdateKind,
 };
 use rr_rrg::figures;
 use rr_rrg::Rrg;
@@ -37,7 +37,6 @@ fn capped(order: NodeOrder, max_nodes: usize, factor: FactorKind) -> CoreOptions
     opts.solver.node_order = order;
     opts.solver.factor = factor;
     opts.solver.branching = Branching::MostFractional;
-    opts.solver.pricing = Pricing::Dantzig;
     opts.cuts = false;
     opts
 }
@@ -83,7 +82,6 @@ fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
     let opts = SolverOptions {
         update: UpdateKind::ProductForm,
         branching: Branching::MostFractional,
-        pricing: Pricing::Dantzig,
         ..SolverOptions::default()
     };
     let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
