@@ -1,14 +1,19 @@
 //! Simulator cost comparison on shared random workloads: cycles/second of
 //! the TGMG discrete-event simulator vs the cycle-accurate elastic
 //! machine (unbounded and bounded capacity) — the ablation behind the
-//! footnote-1 "big enough FIFOs" assumption.
+//! footnote-1 "big enough FIFOs" assumption. A TGMG-only arm times one
+//! 150-edge Table-2 recycling configuration, the size at which the
+//! simulator's per-instant work matters most.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use rr_bench::HarnessArgs;
 use rr_elastic::{simulate as machine_sim, Capacity, MachineParams};
 use rr_rrg::generate::GeneratorParams;
-use rr_tgmg::{sim as tgmg_sim, skeleton::tgmg_of};
+use rr_rrg::iscas::TABLE2;
+use rr_rrg::EdgeId;
+use rr_tgmg::{sim as tgmg_sim, skeleton::tgmg_of, TgmgSkeleton};
 
 const HORIZON: u64 = 5_000;
 
@@ -52,6 +57,24 @@ fn bench_simulators(c: &mut Criterion) {
             })
         });
     }
+    // s1494 at 150 edges (graph seed 2009): its min-period retiming plus
+    // bubbles on edges 71 and 102, one of the configurations the
+    // repository benchmark's `xi_certify` workload draws.
+    let args = HarnessArgs::default();
+    let p = TABLE2.iter().find(|p| p.name == "s1494").unwrap();
+    let g = args.effective_profile(p).generate(args.seed);
+    let mut cfg = rr_retime::min_period_retiming(&g).unwrap().config(&g);
+    cfg.add_bubbles(EdgeId(71), 1);
+    cfg.add_bubbles(EdgeId(102), 1);
+    let t = TgmgSkeleton::of(&g).instantiate(&cfg.tokens, &cfg.buffers);
+    group.bench_with_input(BenchmarkId::new("tgmg", "s1494_e150"), &t, |b, t| {
+        let params = tgmg_sim::SimParams {
+            horizon: HORIZON,
+            warmup: HORIZON / 10,
+            ..Default::default()
+        };
+        b.iter(|| tgmg_sim::simulate(black_box(t), &params).unwrap())
+    });
     group.finish();
 }
 

@@ -18,7 +18,10 @@
 //! * a **discrete-event simulator** measuring the actual steady-state
 //!   throughput `Θ` ([`sim`]) — the stand-in for the paper's RTL
 //!   simulations (Lemma 3.1 guarantees the refined TGMG has exactly the
-//!   RRG's throughput),
+//!   RRG's throughput). It is event-driven: at each instant it examines
+//!   only the nodes whose inputs gained a token, in the order of a full
+//!   index-order scan, so its seeded runs reproduce the scan's exactly,
+//!   and it keeps pending completions on a timing wheel,
 //! * the exact **late-evaluation throughput** (minimum cycle ratio) used
 //!   for baselines and cross-checks ([`late`]).
 //!

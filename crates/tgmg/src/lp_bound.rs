@@ -15,7 +15,7 @@
 //! loose) upper bound — the paper's Table 1 `err%` column quantifies the
 //! gap against simulation.
 
-use rr_milp::{cmp, LinExpr, Model, Sense, SolveError, SolverOptions};
+use rr_milp::{cmp, Kernel, LinExpr, Model, Sense, SolveError, SolverOptions};
 use rr_rrg::NodeKind;
 
 use crate::gmg::Tgmg;
@@ -28,9 +28,10 @@ use crate::gmg::Tgmg;
 ///
 /// # Errors
 ///
-/// Propagates solver failures. A structurally valid TGMG is always
-/// feasible (φ = 0, σ = 0), so [`SolveError::Infeasible`] indicates a
-/// malformed marking.
+/// Propagates solver failures (a [`SolveError::Numerical`] failure of the
+/// revised kernel only when the dense-tableau retry fails too). A
+/// structurally valid TGMG is always feasible (φ = 0, σ = 0), so
+/// [`SolveError::Infeasible`] indicates a malformed marking.
 pub fn throughput_upper_bound(t: &Tgmg) -> Result<f64, SolveError> {
     throughput_upper_bound_with(t, &SolverOptions::default())
 }
@@ -46,7 +47,9 @@ pub fn throughput_upper_bound_with(t: &Tgmg, opts: &SolverOptions) -> Result<f64
 
 /// [`throughput_upper_bound_with`], additionally reporting the simplex
 /// pivot count of the LP solve (perf telemetry for the scaling benches;
-/// the count is 0 when the LP is detected unbounded).
+/// the count is 0 when the LP is detected unbounded). When the revised
+/// kernel fails numerically the LP is solved again on the dense tableau,
+/// and the count is the tableau's.
 ///
 /// # Errors
 ///
@@ -88,8 +91,18 @@ pub fn throughput_upper_bound_counted(
     }
 
     // The model is a pure LP (φ and the free potentials are continuous),
-    // so the relaxation *is* the problem.
-    match m.solve_relaxation_counted(opts) {
+    // so the relaxation *is* the problem. A plain LP has no recovery
+    // ladder, so a numerical failure of the revised kernel is retried once
+    // on the dense tableau, the ladder's last resort.
+    let solved = match m.solve_relaxation_counted(opts) {
+        Err(SolveError::Numerical(_)) if opts.kernel == Kernel::Revised => m
+            .solve_relaxation_counted(&SolverOptions {
+                kernel: Kernel::DenseTableau,
+                ..opts.clone()
+            }),
+        solved => solved,
+    };
+    match solved {
         Ok((sol, pivots)) => Ok((sol[phi], pivots)),
         Err(SolveError::Unbounded) => Ok((f64::INFINITY, 0)),
         Err(e) => Err(e),

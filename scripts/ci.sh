@@ -77,6 +77,16 @@ cargo test -q --offline --release --test pricing_search
 echo "==> cargo test --test backend_unification (one-backend gate)"
 cargo test -q --offline --release --test backend_unification
 
+# The simulator replay gate: the event-driven TGMG simulator must
+# reproduce, bit for bit, the firing vectors and throughputs the
+# full-scan simulator it replaced produced on the xi_certify recycling
+# configurations (all 18 Table-2 profiles at 150 edges), Figures 1b and
+# 2 and the 3+3 pipeline, under both guard policies. Fixed seeds, and
+# the digests were captured from the full-scan simulator itself, so a
+# failure reproduces exactly.
+echo "==> cargo test --test sim_replay (simulator replay gate)"
+cargo test -q --offline --release --test sim_replay
+
 # The reduced Table-2 sweep: all 18 ISCAS89 profiles scaled to 20 edges
 # under a deterministic per-MILP node budget (the generous wall clock
 # never binds in practice). Before pseudo-cost branching and cycle-sum

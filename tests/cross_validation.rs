@@ -94,3 +94,61 @@ fn config_round_trip_through_all_representations() {
         .throughput;
     assert!((a - b).abs() < 0.06, "machine {a} vs tgmg {b}");
 }
+
+/// The TGMG LP bound recovers from a numerical failure of the revised
+/// kernel. The configuration is the s1494 Table-2 profile at 150 edges
+/// (graph seed 2009) with its min-period retiming plus bubbles on edges
+/// 71 and 102, on which the revised kernel once reported a singular
+/// basis. A fault plan forces that failure (a refactorization every
+/// eight eta entries, the ninth or tenth declared singular); the bound
+/// must still come back, equal to the dense tableau's.
+#[test]
+fn lp_bound_recovers_from_a_singular_revised_basis() {
+    use rr_bench::HarnessArgs;
+    use rr_milp::{FaultPlan, Kernel, SolverOptions};
+    use rr_rrg::EdgeId;
+    use rr_tgmg::{lp_bound, TgmgSkeleton};
+
+    let args = HarnessArgs::default();
+    let p = rr_rrg::iscas::TABLE2
+        .iter()
+        .find(|p| p.name == "s1494")
+        .unwrap();
+    let g = args.effective_profile(p).generate(args.seed);
+    let mut cfg = rr_retime::min_period_retiming(&g).unwrap().config(&g);
+    cfg.add_bubbles(EdgeId(71), 1);
+    cfg.add_bubbles(EdgeId(102), 1);
+    cfg.validate(&g).unwrap();
+    let t = TgmgSkeleton::of(&g).instantiate(&cfg.tokens, &cfg.buffers);
+
+    let dense = lp_bound::throughput_upper_bound_with(
+        &t,
+        &SolverOptions {
+            kernel: Kernel::DenseTableau,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!((dense - 0.7282).abs() < 1e-4, "dense bound {dense}");
+    let singular = SolverOptions {
+        refactor_eta_len: 8,
+        faults: Some(FaultPlan {
+            seed: 2009,
+            singular_refactor: 1,
+            perturb_ft_spike: 0,
+            refuse_ft_update: 0,
+            poison_ratio_test: 0,
+            fake_iteration_limit: 0,
+            inject_cycling: 0,
+            fake_time_limit: 0,
+        }),
+        ..Default::default()
+    };
+    for opts in [SolverOptions::default(), singular] {
+        let bound = lp_bound::throughput_upper_bound_with(&t, &opts).unwrap();
+        assert!(
+            (bound - dense).abs() < 1e-9,
+            "bound {bound} vs dense {dense}"
+        );
+    }
+}
