@@ -9,15 +9,14 @@
 //! and — the perf contract of the revised-simplex kernel — an explicit
 //! **kernel A/B comparison**: every instance is solved with the
 //! production kernel (revised simplex + Markowitz sparse LU,
-//! warm-started branch & bound), with the same kernel over the dense-LU
-//! snapshot (`FactorKind::Dense` — the factorization oracle), and with
-//! the dense-tableau oracle (cold restarts), in the same run. Wall time,
-//! simplex pivots, node counts, basis `nnz(L+U)` and refactorization
-//! counts are appended to `BENCH_milp.json` (see `rr_bench::bench_log`)
-//! so both speedup trajectories are tracked across PRs.
+//! warm-started branch & bound), with the same kernel solving every
+//! node cold, and with the dense-tableau oracle, in the same run. Wall
+//! time, simplex pivots, node counts, basis `nnz(L+U)` and
+//! refactorization counts are appended to `BENCH_milp.json` (see
+//! `rr_bench::bench_log`) so the speedup trajectory is tracked.
 //!
 //! The run **fails loudly** — after the records are written — if any
-//! kernel/factorization disagrees with its oracle on a completed
+//! kernel configuration disagrees with its oracle on a completed
 //! (non-truncated) instance: a silent skip here would let a numerical
 //! regression masquerade as a perf win.
 
@@ -29,8 +28,8 @@ use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::milp_bench_instance as instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, Kernel, LinExpr, Model, NodeOrder,
-    RecoveryStats, Sense, SolverOptions, UpdateKind,
+    cmp, solve_with_stats, FaultPlan, Kernel, LinExpr, Model, NodeOrder, RecoveryStats, Sense,
+    SolverOptions,
 };
 use rr_rrg::Rrg;
 use rr_tgmg::{lp_bound, skeleton::tgmg_of};
@@ -71,27 +70,19 @@ struct MilpMeasurement {
     basis_rows: usize,
 }
 
-/// Solves `MAX_THR` once with explicit kernel/factorization options and
-/// returns a filled record plus the headline numbers.
-fn measure_milp(
-    g: &Rrg,
-    edges: usize,
-    kernel: Kernel,
-    warm: bool,
-    factor: FactorKind,
-) -> MilpMeasurement {
+/// Solves `MAX_THR` once with an explicit kernel and warm-start setting
+/// and returns a filled record plus the headline numbers.
+fn measure_milp(g: &Rrg, edges: usize, kernel: Kernel, warm: bool) -> MilpMeasurement {
     let mut opts = CoreOptions::fast();
     opts.solver.kernel = kernel;
     opts.solver.warm_start = warm;
-    opts.solver.factor = factor;
     let t0 = Instant::now();
     let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let label = match (kernel, warm, factor) {
-        (Kernel::Revised, true, FactorKind::Sparse) => "revised_warm",
-        (Kernel::Revised, true, FactorKind::Dense) => "revised_warm_denselu",
-        (Kernel::Revised, false, _) => "revised_cold",
-        (Kernel::DenseTableau, ..) => "dense_oracle",
+    let label = match (kernel, warm) {
+        (Kernel::Revised, true) => "revised_warm",
+        (Kernel::Revised, false) => "revised_cold",
+        (Kernel::DenseTableau, _) => "dense_oracle",
     };
     let record = JsonRecord::new("milp_scaling")
         .str("problem", "max_thr")
@@ -148,25 +139,18 @@ fn measure_lp(g: &Rrg, edges: usize, kernel: Kernel) -> (JsonRecord, f64, f64) {
 }
 
 /// One node-ordering measurement of `MAX_THR` at a fixed node cap (no
-/// wall clock, so the run is deterministic).
+/// wall clock, so the run is deterministic) under the production
+/// search.
 fn measure_order(
     g: &Rrg,
     edges: usize,
     order: NodeOrder,
-    factor: FactorKind,
     max_nodes: usize,
 ) -> (JsonRecord, f64, bool) {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
     opts.solver.node_order = order;
-    opts.solver.factor = factor;
-    // Pinned to the historical regime: pseudo-cost branching closes
-    // these instances in a handful of nodes, which would erase the
-    // ordering effect this A/B tracks (branching has its own A/B in
-    // `branching_comparison`).
-    opts.solver.branching = Branching::MostFractional;
-    opts.cuts = false;
     let t0 = Instant::now();
     let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -177,13 +161,7 @@ fn measure_order(
     let record = JsonRecord::new("milp_scaling")
         .str("problem", "max_thr_ordering")
         .int("edges", edges as u64)
-        .str(
-            "kernel",
-            match factor {
-                FactorKind::Sparse => "revised_warm",
-                FactorKind::Dense => "revised_warm_denselu",
-            },
-        )
+        .str("kernel", "revised_warm")
         .str("order", order_label)
         .int("node_cap", max_nodes as u64)
         .num("wall_ms", wall_ms)
@@ -201,9 +179,7 @@ fn measure_order(
 }
 
 /// The node-ordering A/B: `MAX_THR` on every bench instance under both
-/// orderings and both factorizations at a fixed node cap — the ROADMAP
-/// plateau case (truncated DFS on the 40-edge dense-LU run returns 4.0
-/// where best-bound finds 3.0), recorded per instance. Completed runs
+/// orderings at a fixed node cap, recorded per instance. Completed runs
 /// must agree on the objective; truncated runs record their incumbent
 /// quality, and best-bound must never end *worse* than DFS at the same
 /// cap.
@@ -213,34 +189,30 @@ fn ordering_comparison(_c: &mut Criterion) {
     let cap = 1000;
     for &edges in &[20usize, 40] {
         let g = instance(edges);
-        for factor in [FactorKind::Sparse, FactorKind::Dense] {
-            let (rec, dfs_obj, dfs_trunc) =
-                measure_order(&g, edges, NodeOrder::DfsNearerFirst, factor, cap);
-            records.push(rec);
-            let (rec, bb_obj, bb_trunc) =
-                measure_order(&g, edges, NodeOrder::BestBound, factor, cap);
-            records.push(rec);
-            if !dfs_trunc && !bb_trunc && (dfs_obj - bb_obj).abs() > 1e-7 * dfs_obj.abs().max(1.0) {
-                disagreements.push(format!(
-                    "max_thr {edges} edges / {factor:?}: completed orderings disagree, \
-                     dfs {dfs_obj} vs best_bound {bb_obj}"
-                ));
-            }
-            // MAX_THR minimizes x: at the same cap the best-bound
-            // incumbent must be at least as good as DFS's.
-            if bb_obj > dfs_obj + 1e-7 {
-                disagreements.push(format!(
-                    "max_thr {edges} edges / {factor:?}: best_bound incumbent {bb_obj} \
-                     worse than dfs {dfs_obj} at node cap {cap}"
-                ));
-            }
-            println!(
-                "ordering comparison: max_thr {edges} edges / {factor:?} @ {cap} nodes: \
-                 dfs {dfs_obj}{} vs best_bound {bb_obj}{}",
-                if dfs_trunc { " (truncated)" } else { "" },
-                if bb_trunc { " (truncated)" } else { "" },
-            );
+        let (rec, dfs_obj, dfs_trunc) = measure_order(&g, edges, NodeOrder::DfsNearerFirst, cap);
+        records.push(rec);
+        let (rec, bb_obj, bb_trunc) = measure_order(&g, edges, NodeOrder::BestBound, cap);
+        records.push(rec);
+        if !dfs_trunc && !bb_trunc && (dfs_obj - bb_obj).abs() > 1e-7 * dfs_obj.abs().max(1.0) {
+            disagreements.push(format!(
+                "max_thr {edges} edges: completed orderings disagree, \
+                 dfs {dfs_obj} vs best_bound {bb_obj}"
+            ));
         }
+        // MAX_THR minimizes x: at the same cap the best-bound incumbent
+        // must be at least as good as DFS's.
+        if bb_obj > dfs_obj + 1e-7 {
+            disagreements.push(format!(
+                "max_thr {edges} edges: best_bound incumbent {bb_obj} \
+                 worse than dfs {dfs_obj} at node cap {cap}"
+            ));
+        }
+        println!(
+            "ordering comparison: max_thr {edges} edges @ {cap} nodes: \
+             dfs {dfs_obj}{} vs best_bound {bb_obj}{}",
+            if dfs_trunc { " (truncated)" } else { "" },
+            if bb_trunc { " (truncated)" } else { "" },
+        );
     }
     append(&records);
     assert!(
@@ -250,283 +222,9 @@ fn ordering_comparison(_c: &mut Criterion) {
     );
 }
 
-/// One branching-rule measurement of `MAX_THR` at a fixed node cap (no
-/// wall clock, so the run is deterministic).
-struct BranchingMeasurement {
-    record: JsonRecord,
-    objective: f64,
-    nodes: usize,
-    truncated: bool,
-    proven: bool,
-}
-
-fn measure_branching(
-    name: &str,
-    g: &Rrg,
-    branching: Branching,
-    cuts: bool,
-    max_nodes: usize,
-) -> BranchingMeasurement {
-    let mut opts = CoreOptions::fast();
-    opts.solver.time_limit = None;
-    opts.solver.max_nodes = max_nodes;
-    opts.solver.factor = FactorKind::Sparse;
-    opts.solver.branching = branching;
-    opts.cuts = cuts;
-    let t0 = Instant::now();
-    let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let label = match branching {
-        Branching::MostFractional => "most_fractional",
-        Branching::PseudoCost => "pseudo_cost",
-    };
-    let record = JsonRecord::new("milp_scaling")
-        .str("problem", "max_thr_branching")
-        .str("instance", name)
-        .str("branching", label)
-        .int("cuts", u64::from(cuts))
-        .int("node_cap", max_nodes as u64)
-        .num("wall_ms", wall_ms)
-        .num("objective", out.objective)
-        .int("nodes", out.stats.nodes as u64)
-        .int("pivots", out.stats.simplex_iters as u64)
-        .int("strong_branches", out.stats.strong_branches as u64)
-        .int("pseudo_updates", out.stats.pseudo_updates as u64)
-        .int("cuts_added", out.stats.cuts_added as u64)
-        .int("cuts_activated", out.stats.cuts_activated as u64)
-        .num("dual_bound", out.stats.dual_bound)
-        .int("truncated", u64::from(out.stats.truncated));
-    BranchingMeasurement {
-        record,
-        objective: out.objective,
-        nodes: out.stats.nodes,
-        truncated: out.stats.truncated,
-        proven: out.proven_optimal,
-    }
-}
-
-/// The branching-rule A/B — the PR 8 search-strength contract: on the
-/// 40-edge `MAX_THR` bench at the 1000-node cap and on the s27 Table-2
-/// profile, pseudo-cost branching with cycle-sum cuts must prove
-/// optimality in **strictly fewer** expanded nodes than most-fractional
-/// manages at the same budget (most-fractional truncates both). Records
-/// land in `BENCH_milp.json` before the assertions, so a regression
-/// fails loudly with the evidence on disk.
-fn branching_comparison(_c: &mut Criterion) {
-    let mut records = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    let s27 = rr_rrg::iscas::IscasProfile::by_name("s27")
-        .expect("s27 is a Table-2 profile")
-        .generate(2009);
-    let cases: [(&str, &Rrg, usize); 2] = [("bench40", &instance(40), 1000), ("s27", &s27, 20_000)];
-    for (name, g, cap) in cases {
-        let mf = measure_branching(name, g, Branching::MostFractional, false, cap);
-        let pc = measure_branching(name, g, Branching::PseudoCost, true, cap);
-        println!(
-            "branching comparison: max_thr {name} @ {cap} nodes: \
-             most_fractional obj {} in {} nodes{} vs pseudo_cost+cuts obj {} in {} nodes{}",
-            mf.objective,
-            mf.nodes,
-            if mf.truncated { " (truncated)" } else { "" },
-            pc.objective,
-            pc.nodes,
-            if pc.truncated { " (truncated)" } else { "" },
-        );
-        records.push(mf.record.clone());
-        records.push(pc.record.clone());
-        if pc.nodes >= mf.nodes {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost + cuts expanded {} nodes, most-fractional {} — \
-                 the search-strength contract is broken",
-                pc.nodes, mf.nodes
-            ));
-        }
-        if !pc.proven {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost + cuts no longer proves optimality at the \
-                 {cap}-node cap"
-            ));
-        }
-        // MAX_THR minimizes x: the stronger search must never return a
-        // worse incumbent at the same budget.
-        if pc.objective > mf.objective + 1e-7 {
-            regressions.push(format!(
-                "max_thr {name}: pseudo-cost incumbent {} worse than most-fractional {}",
-                pc.objective, mf.objective
-            ));
-        }
-    }
-    append(&records);
-    assert!(
-        regressions.is_empty(),
-        "branching regression (records already in BENCH_milp.json):\n{}",
-        regressions.join("\n")
-    );
-}
-
-/// One update-scheme measurement of `MAX_THR` at a fixed node cap (no
-/// wall clock, so the run is deterministic).
-struct UpdateMeasurement {
-    record: JsonRecord,
-    objective: f64,
-    truncated: bool,
-    wall_ms: f64,
-    refactors: usize,
-    forced_refactors: usize,
-    ft_updates: usize,
-    peak_u_nnz: usize,
-}
-
-fn measure_update(
-    g: &Rrg,
-    edges: usize,
-    factor: FactorKind,
-    update: UpdateKind,
-    max_nodes: usize,
-) -> UpdateMeasurement {
-    let mut opts = CoreOptions::fast();
-    opts.solver.time_limit = None;
-    opts.solver.max_nodes = max_nodes;
-    opts.solver.factor = factor;
-    opts.solver.update = update;
-    let t0 = Instant::now();
-    let out = formulation::max_thr(g, g.max_delay(), &opts).expect("MAX_THR solves");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let update_label = match update {
-        UpdateKind::ForrestTomlin => "forrest_tomlin",
-        UpdateKind::ProductForm => "product_form",
-    };
-    let record = JsonRecord::new("milp_scaling")
-        .str("problem", "max_thr_update")
-        .int("edges", edges as u64)
-        .str(
-            "kernel",
-            match factor {
-                FactorKind::Sparse => "revised_warm",
-                FactorKind::Dense => "revised_warm_denselu",
-            },
-        )
-        .str("update", update_label)
-        .int("node_cap", max_nodes as u64)
-        .num("wall_ms", wall_ms)
-        .num("objective", out.objective)
-        .int("nodes", out.stats.nodes as u64)
-        .int("pivots", out.stats.simplex_iters as u64)
-        .int("refactors", out.stats.refactors as u64)
-        .int("forced_refactors", out.stats.forced_refactors as u64)
-        .int("ft_updates", out.stats.ft_updates as u64)
-        .int("lu_nnz", out.stats.peak_lu_nnz as u64)
-        .int("u_nnz", out.stats.peak_u_nnz as u64)
-        .int("truncated", u64::from(out.stats.truncated));
-    UpdateMeasurement {
-        record,
-        objective: out.objective,
-        truncated: out.stats.truncated,
-        wall_ms,
-        refactors: out.stats.refactors,
-        forced_refactors: out.stats.forced_refactors,
-        ft_updates: out.stats.ft_updates,
-        peak_u_nnz: out.stats.peak_u_nnz,
-    }
-}
-
-/// The update-scheme A/B: `MAX_THR` on every bench instance under every
-/// `UpdateKind` × `FactorKind` combination at a fixed node cap — the
-/// Forrest–Tomlin perf contract. Completed runs must agree on the
-/// objective (a silently-wrong FT update fails loudly here, with the
-/// evidence already in `BENCH_milp.json`), and on the largest instance
-/// the Forrest–Tomlin path must perform **strictly fewer** full
-/// refactorizations than the product-form path at the identical node
-/// budget; both wall times are recorded per instance.
-fn update_comparison(_c: &mut Criterion) {
-    let mut records = Vec::new();
-    let mut disagreements: Vec<String> = Vec::new();
-    let cap = 1000;
-    let mut largest: Option<(usize, UpdateMeasurement, UpdateMeasurement)> = None;
-    for &edges in &[20usize, 40] {
-        let g = instance(edges);
-        let mut completed: Vec<(String, f64)> = Vec::new();
-        let mut sparse_pair: Option<(UpdateMeasurement, UpdateMeasurement)> = None;
-        for factor in [FactorKind::Sparse, FactorKind::Dense] {
-            let ft = measure_update(&g, edges, factor, UpdateKind::ForrestTomlin, cap);
-            let pf = measure_update(&g, edges, factor, UpdateKind::ProductForm, cap);
-            println!(
-                "update comparison: max_thr {edges} edges / {factor:?} @ {cap} nodes: \
-                 forrest_tomlin {:.1} ms obj {}{} ({} refactors, {} forced, {} ft updates, \
-                 peak u_nnz {}) vs product_form {:.1} ms obj {}{} ({} refactors)",
-                ft.wall_ms,
-                ft.objective,
-                if ft.truncated { " (truncated)" } else { "" },
-                ft.refactors,
-                ft.forced_refactors,
-                ft.ft_updates,
-                ft.peak_u_nnz,
-                pf.wall_ms,
-                pf.objective,
-                if pf.truncated { " (truncated)" } else { "" },
-                pf.refactors,
-            );
-            for (label, m) in [("forrest_tomlin", &ft), ("product_form", &pf)] {
-                records.push(m.record.clone());
-                if !m.truncated {
-                    completed.push((format!("{factor:?}/{label}"), m.objective));
-                }
-            }
-            if factor == FactorKind::Sparse {
-                sparse_pair = Some((ft, pf));
-            }
-        }
-        // All completed UpdateKind × FactorKind combinations must agree.
-        if let Some((ref_name, ref_obj)) = completed.first().cloned() {
-            for (name, obj) in &completed[1..] {
-                if (obj - ref_obj).abs() > 1e-7 * ref_obj.abs().max(1.0) {
-                    disagreements.push(format!(
-                        "max_thr {edges} edges: completed combinations disagree, \
-                         {ref_name} {ref_obj} vs {name} {obj}"
-                    ));
-                }
-            }
-        }
-        // Keep the genuinely largest instance regardless of list order.
-        if largest.as_ref().is_none_or(|&(e, _, _)| edges > e) {
-            largest = sparse_pair.map(|(ft, pf)| (edges, ft, pf));
-        }
-    }
-    if let Some((edges, ft, pf)) = largest {
-        records.push(
-            JsonRecord::new("milp_ft_summary")
-                .int("largest_edges", edges as u64)
-                .int("node_cap", cap as u64)
-                .num("ft_wall_ms", ft.wall_ms)
-                .num("pf_wall_ms", pf.wall_ms)
-                .int("ft_refactors", ft.refactors as u64)
-                .int("pf_refactors", pf.refactors as u64)
-                .int("ft_forced_refactors", ft.forced_refactors as u64)
-                .int("ft_updates", ft.ft_updates as u64)
-                .int("ft_peak_u_nnz", ft.peak_u_nnz as u64),
-        );
-        // The FT perf contract on the largest instance: strictly fewer
-        // full refactorizations at the identical node budget.
-        if ft.refactors >= pf.refactors {
-            disagreements.push(format!(
-                "max_thr {edges} edges: forrest_tomlin performed {} refactors, \
-                 product_form only {} — the update scheme is not saving refactorizations",
-                ft.refactors, pf.refactors
-            ));
-        }
-    }
-    append(&records);
-    assert!(
-        disagreements.is_empty(),
-        "update-scheme regression (records already in BENCH_milp.json):\n{}",
-        disagreements.join("\n")
-    );
-}
-
 /// The A/B pass: every instance solved by the production configuration
-/// (revised + sparse LU, warm), the dense-LU factorization oracle, the
-/// cold restart baseline, and the dense-tableau oracle; both speedups
-/// (vs the dense *snapshot* and vs the dense *tableau*) recorded for the
+/// (revised + sparse LU, warm), the cold restart baseline, and the
+/// dense-tableau oracle; the speedup over the oracle recorded for the
 /// largest MILP. Records are written to `BENCH_milp.json` **before** the
 /// agreement checks, so a disagreement fails loudly with the evidence
 /// already on disk.
@@ -546,16 +244,15 @@ fn kernel_comparison(_c: &mut Criterion) {
         }
     }
     let mut milp_disagreements: Vec<String> = Vec::new();
-    let mut largest: Option<(usize, MilpMeasurement, MilpMeasurement, MilpMeasurement)> = None;
+    let mut largest: Option<(usize, MilpMeasurement, MilpMeasurement)> = None;
     for &edges in &[20usize, 40] {
         let g = instance(edges);
-        let warm = measure_milp(&g, edges, Kernel::Revised, true, FactorKind::Sparse);
-        let denselu = measure_milp(&g, edges, Kernel::Revised, true, FactorKind::Dense);
-        let cold = measure_milp(&g, edges, Kernel::Revised, false, FactorKind::Sparse);
-        let oracle = measure_milp(&g, edges, Kernel::DenseTableau, false, FactorKind::Sparse);
+        let warm = measure_milp(&g, edges, Kernel::Revised, true);
+        let cold = measure_milp(&g, edges, Kernel::Revised, false);
+        let oracle = measure_milp(&g, edges, Kernel::DenseTableau, false);
         // Truncated searches may legitimately hold different incumbents
         // (same caps, different pivot paths); completed ones must agree.
-        for pair in [&denselu, &cold, &oracle] {
+        for pair in [&cold, &oracle] {
             if !warm.truncated
                 && !pair.truncated
                 && (warm.objective - pair.objective).abs() > 1e-7 * warm.objective.abs().max(1.0)
@@ -566,22 +263,19 @@ fn kernel_comparison(_c: &mut Criterion) {
                 ));
             }
         }
-        for m in [&warm, &denselu, &cold, &oracle] {
+        for m in [&warm, &cold, &oracle] {
             records.push(m.record.clone());
         }
-        largest = Some((edges, warm, denselu, oracle));
+        largest = Some((edges, warm, oracle));
     }
-    if let Some((edges, warm, denselu, oracle)) = largest {
-        let truncated = warm.truncated || denselu.truncated || oracle.truncated;
-        let factor_speedup = denselu.wall_ms / warm.wall_ms.max(1e-9);
+    if let Some((edges, warm, oracle)) = largest {
+        let truncated = warm.truncated || oracle.truncated;
         let oracle_speedup = oracle.wall_ms / warm.wall_ms.max(1e-9);
         println!(
             "kernel comparison: largest MAX_THR instance ({edges} edges) \
-             sparse-LU {:.1} ms vs dense-LU snapshot {:.1} ms (×{factor_speedup:.2}) \
-             vs dense tableau {:.1} ms (×{oracle_speedup:.2}); \
+             sparse-LU {:.1} ms vs dense tableau {:.1} ms (speedup {oracle_speedup:.2}×); \
              nnz(L+U) {} vs m² = {}{}",
             warm.wall_ms,
-            denselu.wall_ms,
             oracle.wall_ms,
             warm.peak_lu_nnz,
             warm.basis_rows * warm.basis_rows,
@@ -595,12 +289,9 @@ fn kernel_comparison(_c: &mut Criterion) {
             JsonRecord::new("milp_scaling_summary")
                 .int("largest_edges", edges as u64)
                 .num("revised_warm_ms", warm.wall_ms)
-                .num("dense_lu_ms", denselu.wall_ms)
                 .num("dense_oracle_ms", oracle.wall_ms)
-                .num("factor_speedup", factor_speedup)
                 .num("speedup", oracle_speedup)
                 .int("sparse_lu_nnz", warm.peak_lu_nnz as u64)
-                .int("dense_lu_nnz", denselu.peak_lu_nnz as u64)
                 .int("basis_rows", warm.basis_rows as u64)
                 .num("revised_warm_objective", warm.objective)
                 .num("dense_oracle_objective", oracle.objective)
@@ -769,7 +460,6 @@ fn measure_parallel(
     opts.solver.time_limit = None; // deterministic budget: node cap only
     opts.solver.max_nodes = 1000;
     opts.solver.node_order = NodeOrder::BestBound;
-    opts.solver.factor = FactorKind::Sparse;
     opts.solver.workers = workers;
     let mut wall_ms = f64::INFINITY;
     let mut out: Option<rr_core::formulation::OptOutcome> = None;
@@ -1070,7 +760,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_lp_scaling, bench_milp_scaling, kernel_comparison, ordering_comparison,
-        branching_comparison, update_comparison, fault_comparison,
-        parallel_comparison, mirrored_comparison
+        fault_comparison, parallel_comparison, mirrored_comparison
 }
 criterion_main!(benches);

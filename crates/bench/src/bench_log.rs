@@ -33,6 +33,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One flat JSON object under construction.
@@ -152,9 +153,14 @@ pub fn append_markov(records: &[JsonRecord]) {
     append_to(&markov_json_path(), records);
 }
 
-/// Appends records to the JSON array at `path`, creating it when absent
-/// and replacing it when unparseable. I/O errors are reported to stderr,
-/// never panicked on — perf logging must not fail a bench run.
+/// Appends records to the JSON array at `path`, creating it when
+/// absent. A file that exists but cannot be read, or does not hold a
+/// JSON array, is left untouched and the new records are dropped with a
+/// warning: the log's history is worth more than one run's records. The
+/// updated array is written to a sibling `.tmp` file and renamed over
+/// the log, so an interrupted write never truncates it. I/O errors are
+/// reported to stderr, never panicked on — perf logging must not fail a
+/// bench run.
 ///
 /// The read-modify-write is **not** atomic: run the perf harnesses
 /// sequentially (as `scripts/ci.sh` does); concurrent writers to the
@@ -167,14 +173,33 @@ pub fn append_to(path: &Path, records: &[JsonRecord]) {
             .filter(|l| l.starts_with('{'))
             .map(|l| l.trim_end_matches(',').to_string())
             .collect(),
-        _ => Vec::new(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Ok(_) => {
+            eprintln!(
+                "warning: {} does not hold a JSON array; left untouched, records not written",
+                path.display()
+            );
+            return;
+        }
+        Err(e) => {
+            eprintln!(
+                "warning: could not read {}: {e}; left untouched, records not written",
+                path.display()
+            );
+            return;
+        }
     };
     lines.extend(records.iter().map(JsonRecord::render));
     let body = format!("[\n{}\n]\n", lines.join(",\n"));
-    if let Err(e) = fs::write(path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("perf records appended to {}", path.display());
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    match fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, path)) {
+        Ok(()) => println!("perf records appended to {}", path.display()),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            eprintln!("warning: could not write {}: {e}", path.display());
+        }
     }
 }
 
@@ -210,6 +235,29 @@ mod tests {
         assert!(text.contains(r#"{"kind":"a","x":1}"#));
         assert!(text.contains(r#"{"kind":"b","x":2}"#));
         assert_eq!(text.matches('{').count(), 2);
+    }
+
+    /// A log that is not a JSON array, or not readable as text, keeps
+    /// every byte: the records are dropped, the history is not.
+    #[test]
+    fn append_leaves_a_non_array_file_untouched() {
+        let dir = std::env::temp_dir().join(format!("bench_log_keep_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let not_array = dir.join("not_array.json");
+        fs::write(&not_array, "{\"kind\":\"a\"}\n").unwrap();
+        let not_utf8 = dir.join("not_utf8.json");
+        fs::write(&not_utf8, [b'[', 0xff, 0xfe, b']']).unwrap();
+        for path in [&not_array, &not_utf8] {
+            let before = fs::read(path).unwrap();
+            append_to(path, &[JsonRecord::new("b").int("x", 2)]);
+            assert_eq!(
+                fs::read(path).unwrap(),
+                before,
+                "{} changed",
+                path.display()
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

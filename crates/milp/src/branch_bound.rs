@@ -16,31 +16,30 @@
 //! side first) until the dive dies or exceeds an episode cap scaled to
 //! the integer count, whereupon the leftovers are flushed back into the
 //! frontier. This module provides the pieces the workers share:
-//! branching-variable selection ([`most_fractional_of`],
-//! [`select_branch_var`]), child construction ([`branch_children`]), the
-//! learned [`PseudoCosts`], and the search statistics.
+//! branching-variable selection ([`select_branch_var`], pseudo-cost
+//! reliability branching — the search's one rule), child construction
+//! ([`branch_children`]), the learned [`PseudoCosts`], and the search
+//! statistics.
 //!
 //! * **Node ordering** ([`NodeOrder`], selected by
 //!   [`SolverOptions::node_order`]):
 //!   [`NodeOrder::DfsNearerFirst`] keeps the frontier a LIFO stack, so
 //!   dive and frontier together form one DFS stack exploring the nearer
-//!   branching side first — bit-compatible with the historical recursive
-//!   DFS (same node order, same kernel state at every solve, hence the
-//!   same node/pivot counts; the `search_orders` regression pins this).
+//!   branching side first (same node order and kernel state at every
+//!   solve as the historical recursive DFS; the `search_orders` and
+//!   `parallel_search` goldens pin the trajectories).
 //!   DFS discards nothing unsolved: a node that cannot beat the
 //!   incumbent is solved and then pruned on its own bound.
-//!   [`NodeOrder::BestBound`] keys the frontier on the **parent LP
-//!   bound** (ties broken most-recently-pushed-first), so each episode
-//!   starts from the globally best open node — dives find the integral
-//!   leaves that weak LP bounds never would, while the queue keeps the
-//!   *frontier* in proven-potential order. Open entries whose bound
-//!   cannot beat the incumbent are discarded unsolved, and because the
-//!   most-fractional queue is bound-sorted the first unprunable deficit
-//!   proves optimality for the whole frontier. Every open node carries
-//!   an `Arc` of its parent's optimal basis, so best-first jumps still
-//!   warm-start (**warm-basis handoff**) — the fix for DFS's plateau
-//!   incumbents under small node caps (see the 40-edge `MAX_THR` bench,
-//!   where truncated DFS returns 4.0 and best-bound finds 3.0).
+//!   [`NodeOrder::BestBound`] keys the frontier on a **best-estimate**
+//!   score — the parent LP bound plus the pseudo-cost-predicted cost of
+//!   repairing the remaining fractional variables (ties broken
+//!   most-recently-pushed-first) — so each episode starts from the
+//!   most promising open node, while pruning still reads each entry's
+//!   valid parent bound: entries that cannot beat the incumbent are
+//!   discarded unsolved, one at a time (the estimate-ordered queue is
+//!   not bound-sorted, so one deficit proves nothing about the rest).
+//!   Every open node carries an `Arc` of its parent's optimal basis, so
+//!   best-first jumps still warm-start (**warm-basis handoff**).
 //!
 //! * **LP backend**: [`WarmBackend`] runs the revised kernel over a
 //!   [`BoxedForm`] built once. Branching rewrites a column's `[lo, hi]`
@@ -54,14 +53,18 @@
 //!   box `[lo, hi]` on a shifted, mirrored, or free (split-pair) integer
 //!   translates to standard-form column-bound updates via
 //!   [`ColMap::box_updates`], so warm starts and pseudo-costs survive
-//!   across nodes for all of them. The dense tableau is a kernel-level
-//!   oracle only — rung 6 of the per-node recovery ladder, plus a
-//!   whole-solve cross-validation pass when [`Kernel::DenseTableau`] is
-//!   requested for a MILP (the search runs
+//!   across nodes for all of them. The kernel's factorization follows
+//!   [`SolverOptions::kernel`]: sparse LU with Forrest–Tomlin updates
+//!   under [`Kernel::Revised`], dense LU with the product form in the
+//!   [`Kernel::DenseTableau`] oracle configuration. The recovery ladder
+//!   switches to the product form (rung 3) and to the oracle's dense LU
+//!   (rung 6) per node, from an internal factor configuration. The
+//!   dense tableau itself is a kernel-level oracle only: when
+//!   [`Kernel::DenseTableau`] is requested for a MILP, the search runs
 //!   the warm backend in the oracle configuration from
 //!   [`SolverOptions::resolve`], then the incumbent's integer assignment
 //!   is pinned and re-solved by the genuine dense tableau, which must
-//!   reproduce the objective).
+//!   reproduce the objective.
 //!
 //! The round-and-fix heuristic (round all integer variables of a
 //! relaxation, fix them, re-solve the continuous part) provides early
@@ -78,7 +81,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::expr::VarId;
-use crate::model::{FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions, UpdateKind};
+use crate::factor::{FactorConfig, UpdateKind};
+use crate::model::{Kernel, Model, NodeOrder, Sense, SolverOptions};
 use crate::recover::RecoveryStats;
 use crate::revised::{BasisState, Revised};
 use crate::solution::{Solution, SolveError, Status};
@@ -116,19 +120,20 @@ pub struct BranchBoundStats {
     pub cold_solves: usize,
     /// Basis refactorizations across the whole search.
     pub refactors: usize,
-    /// Successful Forrest–Tomlin factor updates (0 under
-    /// [`crate::UpdateKind::ProductForm`]).
+    /// Successful Forrest–Tomlin factor updates (0 in the
+    /// [`Kernel::DenseTableau`] oracle configuration, whose dense LU
+    /// takes product-form updates).
     pub ft_updates: usize,
     /// Refactorizations forced by a refused (unstable) Forrest–Tomlin
     /// update rather than the scheduled length/fill policy.
     pub forced_refactors: usize,
     /// Largest nonzero count the (updated) `U` factor reached — the fill
     /// price of absorbing pivots into the factors under Forrest–Tomlin;
-    /// `m²` under [`crate::FactorKind::Dense`].
+    /// `m²` under the dense LU of the [`Kernel::DenseTableau`] oracle
+    /// configuration.
     pub peak_u_nnz: usize,
-    /// Largest `nnz(L+U)` any basis snapshot reached — `m²` under
-    /// [`crate::FactorKind::Dense`], the actual fill under
-    /// [`crate::FactorKind::Sparse`].
+    /// Largest `nnz(L+U)` any basis snapshot reached — the actual fill
+    /// of the production sparse LU, `m²` under the oracle's dense LU.
     pub peak_lu_nnz: usize,
     /// Basis dimension (constraint rows) of the bounded-variable form
     /// (0 for rowless models, which solve in closed form).
@@ -414,7 +419,8 @@ impl<'a> WarmBackend<'a> {
                 }
                 1 => {
                     self.kernel.recovery.cold_rebuilds += 1;
-                    self.kernel = self.kernel.rebuilt(&self.form, opts);
+                    let fcfg = FactorConfig::resolve(opts);
+                    self.kernel = self.kernel.rebuilt(&self.form, opts, fcfg);
                 }
                 2 => {
                     self.kernel.recovery.bland_restarts += 1;
@@ -422,12 +428,9 @@ impl<'a> WarmBackend<'a> {
                 }
                 _ => {
                     self.kernel.recovery.dense_oracle_solves += 1;
-                    let dense = SolverOptions {
-                        factor: FactorKind::Dense,
-                        update: UpdateKind::ProductForm,
-                        ..opts.clone()
-                    };
-                    self.kernel = self.kernel.rebuilt(&self.form, &dense);
+                    let dense =
+                        FactorConfig::for_kernel(Kernel::DenseTableau, opts.refactor_eta_len);
+                    self.kernel = self.kernel.rebuilt(&self.form, opts, dense);
                 }
             }
             let mut budget = opts.max_pivots;
@@ -461,7 +464,9 @@ impl<'a> WarmBackend<'a> {
     /// from its parent snapshot, or cold).
     fn restore_kernel(&mut self, opts: &SolverOptions) {
         self.kernel.set_force_bland(false);
-        self.kernel = self.kernel.rebuilt(&self.form, opts);
+        self.kernel = self
+            .kernel
+            .rebuilt(&self.form, opts, FactorConfig::resolve(opts));
     }
 
     /// Mirrors cut activations other workers published in `flags` into
@@ -799,35 +804,6 @@ pub(crate) fn branch_children(
     }
 }
 
-/// Most-fractional branching: highest priority class first, most
-/// fractional within it, **ties broken toward the lowest `VarId`** —
-/// explicit, so selection never depends on the iteration order of
-/// `int_vars` (the workers=1 bit-exactness contract). Returns `None`
-/// when the point is integral.
-pub(crate) fn most_fractional_of(
-    model: &Model,
-    int_vars: &[VarId],
-    int_tol: f64,
-    sol: &Solution,
-) -> Option<(VarId, f64)> {
-    let mut best: Option<(VarId, f64)> = None;
-    let mut best_key = (i32::MIN, int_tol);
-    for &v in int_vars {
-        let val = sol.value(v);
-        let frac = (val - val.round()).abs();
-        if frac <= int_tol {
-            continue;
-        }
-        let key = (model.var(v).priority(), frac);
-        let wins = key > best_key || (key == best_key && best.is_some_and(|(bv, _)| v < bv));
-        if wins {
-            best_key = key;
-            best = Some((v, val));
-        }
-    }
-    best
-}
-
 /// Pseudo-cost branching with reliability probes: among the fractional
 /// candidates of the highest priority class, strong-branch (bounded
 /// dual-simplex probe of both children) the most fractional candidates
@@ -998,7 +974,7 @@ pub(crate) struct OpenNode {
     /// pruning and discard tests compare against the incumbent.
     pub(crate) bound: f64,
     /// Heap-ordering key, signed. Equals `bound` except under
-    /// pseudo-cost best-bound, where it is the best-estimate score
+    /// best-bound, where it is the best-estimate score
     /// `bound + Σ pseudo-cost·fractionality` — a prediction, never used
     /// to prune.
     pub(crate) key: f64,
@@ -1062,8 +1038,8 @@ impl Frontier {
         }
     }
     /// Minimum valid LP bound over the open nodes (`+∞` when empty).
-    /// Under pseudo-cost scoring the heap is estimate-ordered, so the
-    /// minimum genuinely requires the scan.
+    /// The heap is estimate-ordered, so the minimum genuinely requires
+    /// the scan.
     pub(crate) fn min_bound(&self) -> f64 {
         let fold = |it: &mut dyn Iterator<Item = f64>| it.fold(f64::INFINITY, f64::min);
         match self {
@@ -1372,38 +1348,66 @@ mod tests {
         assert_eq!(sol.int_value(x), -2);
     }
 
-    /// Most-fractional selection golden: when two variables tie on both
-    /// priority and fractionality, the lowest `VarId` wins — a pinned
-    /// tie-break, not an iteration-order accident. Priority still
-    /// dominates fractionality.
+    /// Branching-variable selection with every pseudo-cost reliable (no
+    /// strong-branch probe runs): only the top priority class competes
+    /// (`rr-core` raises buffer variables to priority 1), product-score
+    /// ties break toward higher fractionality and then toward the lowest
+    /// `VarId` — pinned tie-breaks, not iteration-order accidents — and
+    /// an integral point yields no candidate.
     #[test]
-    fn most_fractional_ties_break_to_lowest_var_id() {
+    fn select_branch_var_ties_break_to_fractionality_then_lowest_var_id() {
         let mut m = Model::new(Sense::Minimize);
         let a = m.add_integer("a", 0.0, 10.0);
         let b = m.add_integer("b", 0.0, 10.0);
         let c = m.add_integer("c", 0.0, 10.0);
-        let int_vars = vec![a, b, c];
-        let frac = |m: &Model, values: Vec<f64>| {
+        m.add_constraint(a + b + c, cmp::LE, 30.0);
+        // Per-unit pseudo-costs (down, up): a (4, 3), b and c (3, 3),
+        // each observed `RELIABILITY` times per direction.
+        let pseudo = PseudoCosts::new(3);
+        for (v, down, up) in [(a, 4.0, 3.0), (b, 3.0, 3.0), (c, 3.0, 3.0)] {
+            for _ in 0..RELIABILITY {
+                pseudo.record(v.index(), false, down);
+                pseudo.record(v.index(), true, up);
+            }
+        }
+        let pick = |m: &Model, values: Vec<f64>| {
+            let opts = SolverOptions::default();
+            let form = BoxedForm::build(m);
+            let int_maps = form.sf.map.iter().map(|&map| Some(map)).collect();
+            let mut backend = WarmBackend::new(m, Arc::new(form), int_maps, &opts, None);
             let sol = Solution {
                 values,
                 objective: 0.0,
                 status: Status::Feasible,
             };
-            most_fractional_of(m, &int_vars, 1e-6, &sol)
+            let mut stats = BranchBoundStats::default();
+            let (lo, hi) = (vec![0.0; 3], vec![10.0; 3]);
+            let picked = select_branch_var(
+                &mut backend,
+                m,
+                &opts,
+                &[a, b, c],
+                &sol,
+                &lo,
+                &hi,
+                1.0,
+                &pseudo,
+                &mut stats,
+            );
+            assert_eq!(stats.strong_branches, 0, "a reliable variable was probed");
+            picked
         };
-        // b and c tie at fractionality 0.5 (a is less fractional):
-        // the lower VarId b wins.
-        assert_eq!(frac(&m, vec![1.25, 2.5, 3.5]), Some((b, 2.5)));
-        // All three tie: the lowest VarId a wins.
-        assert_eq!(frac(&m, vec![1.5, 2.5, 3.5]), Some((a, 1.5)));
+        // All three score 2.25 (a: 4·0.25 × 3·0.75; b, c: 3·0.5 × 3·0.5).
+        // b and c are more fractional than a; b has the lower VarId.
+        assert_eq!(pick(&m, vec![1.25, 2.5, 3.5]), Some((b, 2.5)));
         // An integral point yields no branching candidate.
-        assert_eq!(frac(&m, vec![1.0, 2.0, 3.0]), None);
-        // Priority dominates fractionality; within the top priority
-        // class the VarId tie-break still applies.
-        m.set_priority(b, 5);
-        m.set_priority(c, 5);
-        assert_eq!(frac(&m, vec![1.5, 2.25, 3.25]), Some((b, 2.25)));
-        assert_eq!(frac(&m, vec![1.5, 2.25, 3.75]), Some((b, 2.25)));
+        assert_eq!(pick(&m, vec![1.0, 2.0, 3.0]), None);
+        // Only the top priority class competes: with b and c at priority
+        // 1, a is out although its score (2 × 1.5 = 3) beats b's (2.25)
+        // and c's (0.75 × 2.25).
+        m.set_priority(b, 1);
+        m.set_priority(c, 1);
+        assert_eq!(pick(&m, vec![2.5, 2.5, 3.25]), Some((b, 2.5)));
     }
 
     #[test]
@@ -1641,7 +1645,7 @@ mod tests {
         };
         let (_, stats) = solve_with_stats(&m, &oracle).unwrap();
         assert_eq!(stats.resolve_notes, oracle.resolve().1);
-        for knob in ["workers", "update", "factor", "warm_start"] {
+        for knob in ["workers", "warm_start"] {
             assert!(
                 stats.resolve_notes.iter().any(|n| n.starts_with(knob)),
                 "no {knob} note in {:?}",

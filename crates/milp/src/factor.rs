@@ -2,9 +2,10 @@
 //!
 //! The basis matrix `B` is held as an **LU factorization of a snapshot
 //! basis `B₀`**, kept current across pivots by one of two update schemes
-//! ([`UpdateKind`](crate::UpdateKind)):
+//! ([`UpdateKind`]):
 //!
-//! * **Forrest–Tomlin** (the production default, sparse snapshot only) —
+//! * **Forrest–Tomlin** (what [`Kernel::Revised`](crate::Kernel) runs;
+//!   sparse snapshot only) —
 //!   the factors themselves are updated in place, so FTRAN/BTRAN keep
 //!   their zero-skipping triangular solves against a *current* `U`. On
 //!   the basis change "slot `p` leaves, column `a` enters":
@@ -27,8 +28,9 @@
 //!   exploding multiplier aborts the update *before any state mutates*
 //!   and the caller falls back to a full refactorization (**forced
 //!   refactor**) — the standard FT stability policy.
-//! * **Product-form eta file** (the historical scheme, and the only one
-//!   the dense oracle supports) — after `k` pivots,
+//! * **Product-form eta file** (the oracle configuration's scheme, the
+//!   only one the dense snapshot supports, and rung 3 of the recovery
+//!   ladder) — after `k` pivots,
 //!   `B = B₀·E₁·…·E_k` where each `Eᵢ` is an identity matrix with one
 //!   column replaced by the pivot direction `d = B⁻¹A_j`; FTRAN/BTRAN
 //!   apply the LU triangles and then replay the whole file.
@@ -44,13 +46,14 @@
 //! Forrest–Tomlin).
 //!
 //! Two snapshot factorizations implement the same contract, selected by
-//! [`FactorKind`](crate::FactorKind):
+//! [`FactorKind`]:
 //!
-//! * [`SparseLu`] (the production default) — a **right-looking sparse LU
-//!   with Markowitz pivot ordering and threshold partial pivoting**. The
-//!   basis is assembled straight from the model's sparse columns (no
-//!   dense `m×m` matrix is ever materialized); at every elimination step
-//!   the pivot is chosen to minimize the Markowitz fill bound
+//! * [`SparseLu`] (what [`Kernel::Revised`](crate::Kernel) runs) — a
+//!   **right-looking sparse LU with Markowitz pivot ordering and
+//!   threshold partial pivoting**. The basis is assembled straight from
+//!   the model's sparse columns (no dense `m×m` matrix is ever
+//!   materialized); at every elimination step the pivot is chosen to
+//!   minimize the Markowitz fill bound
 //!   `(r_i − 1)·(c_j − 1)` over the active submatrix, restricted to
 //!   entries within a threshold factor of their column's magnitude so
 //!   stability is not sacrificed for sparsity. The factors `P·B·Q = L·U`
@@ -58,9 +61,14 @@
 //!   costs `O(fill)` instead of `O(m³)`.
 //! * [`DenseLu`] — the original dense partial-pivoting LU, kept alive as
 //!   the **cross-validation oracle**: an independent implementation whose
-//!   FTRAN/BTRAN answers the property tests compare against, and the
-//!   baseline the `milp_scaling` bench measures the sparse scheme's
-//!   storage and speed wins over.
+//!   FTRAN/BTRAN answers the property tests compare against, the
+//!   factorization of the [`Kernel::DenseTableau`](crate::Kernel) oracle
+//!   configuration and of recovery-ladder rung 6, and the baseline the
+//!   `milp_scaling` bench measures the sparse scheme's storage and speed
+//!   wins over.
+//!
+//! Neither choice is a solver option: [`FactorConfig::resolve`] derives
+//! both from [`SolverOptions::kernel`](crate::SolverOptions::kernel).
 //!
 //! Both store their triangles in **dual row/column-major layouts** so the
 //! triangular solves stay column-oriented with zero skipping in both
@@ -78,7 +86,32 @@
 //! rank-deficient one (duplicate columns cancelling to round-off) is
 //! still rejected.
 
-use crate::model::{FactorKind, UpdateKind};
+use crate::model::{Kernel, SolverOptions};
+
+/// Which snapshot factorization backs the revised kernel's updates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FactorKind {
+    /// Sparse LU with Markowitz pivot ordering and threshold partial
+    /// pivoting: `O(nnz(L+U))` storage and refactor cost proportional to
+    /// fill.
+    Sparse,
+    /// Dense LU snapshot (`O(m²)` storage, `O(m³)` refactor), the
+    /// cross-validation oracle for the sparse scheme.
+    Dense,
+}
+
+/// How the factorization absorbs a pivot (a one-column basis change)
+/// between refactorizations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UpdateKind {
+    /// Forrest–Tomlin: the entering column's spike replaces the leaving
+    /// column of `U`, one row eta eliminates the spike row, and the
+    /// pivot is permuted to the end. Sparse snapshot only.
+    ForrestTomlin,
+    /// Product-form eta file: every pivot appends one eta that each
+    /// later FTRAN/BTRAN replays.
+    ProductForm,
+}
 
 /// Relative singularity threshold: a pivot candidate must exceed this
 /// fraction of its column's input scale to count as nonzero.
@@ -113,15 +146,13 @@ const FT_DROP_REL: f64 = 1e-14;
 /// flushed before the length cap).
 const REFACTOR_FILL_GROWTH: f64 = 8.0;
 
-/// Resolved refactorization policy plus snapshot kind, derived from
-/// [`SolverOptions`](crate::SolverOptions) by the kernel.
+/// Resolved refactorization policy plus snapshot kind and update
+/// scheme, derived from [`SolverOptions`] by the kernel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FactorConfig {
     /// Which snapshot factorization backs the update scheme.
     pub kind: FactorKind,
-    /// **Effective** update scheme: Forrest–Tomlin is only available on
-    /// the sparse snapshot, so `resolve` degrades `ForrestTomlin` to
-    /// `ProductForm` under [`FactorKind::Dense`].
+    /// The update scheme. Forrest–Tomlin needs the sparse snapshot.
     pub update: UpdateKind,
     /// Update count (etas or FT updates) that triggers a refactor; `0` =
     /// automatic (`max(64, 2m)`, see [`Factor::needs_refactor`]).
@@ -133,18 +164,25 @@ pub(crate) struct FactorConfig {
 }
 
 impl FactorConfig {
-    /// Pulls the factorization-relevant knobs out of solver options,
-    /// resolving the effective update scheme for the chosen snapshot.
-    pub fn resolve(opts: &crate::model::SolverOptions) -> FactorConfig {
-        let update = match (opts.factor, opts.update) {
-            (FactorKind::Sparse, u) => u,
-            // The dense oracle has no row/column-wise U to update.
-            (FactorKind::Dense, _) => UpdateKind::ProductForm,
+    /// The factorization `opts` selects: [`Kernel::Revised`] runs a
+    /// sparse Markowitz LU with Forrest–Tomlin updates,
+    /// [`Kernel::DenseTableau`] (the oracle configuration) a dense LU
+    /// with the product form.
+    pub fn resolve(opts: &SolverOptions) -> FactorConfig {
+        Self::for_kernel(opts.kernel, opts.refactor_eta_len)
+    }
+
+    /// [`FactorConfig::resolve`] for an explicit kernel (recovery-ladder
+    /// rung 6 rebuilds a production kernel in the oracle configuration).
+    pub fn for_kernel(kernel: Kernel, max_etas: usize) -> FactorConfig {
+        let (kind, update) = match kernel {
+            Kernel::Revised => (FactorKind::Sparse, UpdateKind::ForrestTomlin),
+            Kernel::DenseTableau => (FactorKind::Dense, UpdateKind::ProductForm),
         };
         FactorConfig {
-            kind: opts.factor,
+            kind,
             update,
-            max_etas: opts.refactor_eta_len,
+            max_etas,
             fill_growth: REFACTOR_FILL_GROWTH,
         }
     }
@@ -152,7 +190,7 @@ impl FactorConfig {
 
 impl Default for FactorConfig {
     fn default() -> Self {
-        Self::resolve(&crate::model::SolverOptions::default())
+        Self::resolve(&SolverOptions::default())
     }
 }
 

@@ -27,17 +27,15 @@
 //! * the basis is factorized as a **sparse LU with Forrest–Tomlin
 //!   updates** (`factor` module): the snapshot is a Markowitz-ordered,
 //!   threshold-pivoted sparse LU assembled straight from the sparse
-//!   columns (`O(nnz(L+U))` storage; [`SolverOptions::factor`] keeps the
-//!   old dense LU as a cross-validation oracle), each pivot updates the
-//!   factors in place — spike column, one row eta, pivot permuted to the
-//!   end ([`SolverOptions::update`] keeps the historical product-form
-//!   eta file as the A/B baseline) — FTRAN / BTRAN apply triangular
-//!   solves that are column-oriented with zero skipping (cost tracks
-//!   the fill-in of the sparse right-hand sides, not `m²`), and the
-//!   update state is flushed by refactorization when it grows long or
-//!   heavy ([`SolverOptions::refactor_eta_len`], or update fill beyond
-//!   eight times the snapshot's nonzeros), or eagerly when an unstable
-//!   update is refused;
+//!   columns (`O(nnz(L+U))` storage), each pivot updates the factors in
+//!   place — spike column, one row eta, pivot permuted to the end —
+//!   FTRAN / BTRAN apply triangular solves that are column-oriented with
+//!   zero skipping (cost tracks the fill-in of the sparse right-hand
+//!   sides, not `m²`), and the update state is flushed by
+//!   refactorization when it grows long or heavy
+//!   ([`SolverOptions::refactor_eta_len`], or update fill beyond eight
+//!   times the snapshot's nonzeros), or eagerly when an unstable update
+//!   is refused;
 //! * pricing is **Dantzig's rule** with an automatic **Bland fallback**
 //!   after a long degenerate run (see "Simplex pricing" below);
 //! * a **dual simplex** reoptimizer repairs primal infeasibility after
@@ -52,6 +50,14 @@
 //! and no refactorization. Warm-start misses fall back to a parent-basis
 //! install, then a cold two-phase solve; `SolverOptions { warm_start:
 //! false, .. }` forces cold node solves for A/B comparisons.
+//!
+//! The factorization is not an option of its own: the kernel choice
+//! fixes it. [`Kernel::Revised`] always runs the sparse LU with
+//! Forrest–Tomlin updates; [`Kernel::DenseTableau`], the oracle
+//! configuration, runs the `factor` module's dense LU with a
+//! product-form eta file. The product form and the dense LU otherwise
+//! serve only as rungs of the recovery ladder (below), which switches
+//! a failing node to them from an internal factor configuration.
 //!
 //! # Simplex pricing
 //!
@@ -88,9 +94,9 @@
 //! [`NumericalEvent`] (unstable update, singular refactor, cycling
 //! suspected, residual drift, pivot/time budget) and answered by one
 //! escalation ladder: retry the Forrest–Tomlin update from the entering
-//! column → forced refactorization → re-solve the node under
-//! [`UpdateKind::ProductForm`] → cold basis rebuild → Bland-only
-//! pricing → dense-oracle kernel for that node. A residual health
+//! column → forced refactorization → re-solve the node with
+//! product-form updates → cold basis rebuild → Bland-only pricing →
+//! dense-oracle kernel for that node. A residual health
 //! monitor recomputes `‖B·x_B − b_eff‖∞` every few pivots and before
 //! any node bound is trusted, so a corrupted factorization can never
 //! produce a wrong prune. Which events occurred and which rungs fired is
@@ -105,10 +111,9 @@
 //! kernel — with pluggable **node ordering**
 //! ([`SolverOptions::node_order`]): depth-first with the nearer
 //! branching side explored first ([`NodeOrder::DfsNearerFirst`], the
-//! default), or a best-bound priority queue ([`NodeOrder::BestBound`])
-//! that expands nodes in parent-LP-bound order with the parent basis
-//! handed off across jumps — the remedy for DFS plateau incumbents
-//! under tight node caps. Every integer variable shape branches
+//! default), or a best-first priority queue ([`NodeOrder::BestBound`])
+//! that expands nodes in best-estimate order with the parent basis
+//! handed off across jumps. Every integer variable shape branches
 //! natively: a node box on a shifted, mirrored (upper-bounded, lower
 //! −∞), or fully free (split-pair) integer translates to in-place
 //! column-bound updates on the bounded-variable form, so warm starts
@@ -117,33 +122,30 @@
 //!
 //! # Branching and node scoring
 //!
-//! Which variable to branch on is chosen by [`SolverOptions::branching`]:
+//! The search has one branching rule, **pseudo-cost reliability
+//! branching**. It maintains per-variable, per-direction
+//! **pseudo-costs** — running means of the observed LP bound
+//! degradation per unit of fractionality — learned from every expanded
+//! child. Only the highest [`priority`](Model::set_priority) class of
+//! fractional candidates competes. Until a variable's history is
+//! *reliable* (four observations per direction), the most fractional
+//! unreliable candidates are **strong-branched**: both children get a
+//! dual-simplex probe of at most 100 pivots, for at most eight
+//! candidates per node, and the observed degradations seed the table.
+//! The candidate maximizing the product score
+//! `max(down·f⁻, ε) · max(up·f⁺, ε)` is branched, ties broken toward
+//! higher fractionality and then the lowest [`VarId`]; a probe that
+//! proves a child infeasible biases selection toward the variable but
+//! never prunes, so an unverified probe cannot break correctness.
 //!
-//! * [`Branching::PseudoCost`] (the default) maintains per-variable,
-//!   per-direction **pseudo-costs** — running means of the observed LP
-//!   bound degradation per unit of fractionality — learned from every
-//!   expanded child. Until a variable's history is *reliable* (four
-//!   observations per direction), the most fractional unreliable
-//!   candidates are **strong-branched**: both children get a dual-simplex
-//!   probe of at most 100 pivots, for at most eight candidates per node,
-//!   and the observed degradations seed the table. The candidate
-//!   maximizing the product score `max(down·f⁻, ε) · max(up·f⁺, ε)` is
-//!   branched; a probe that proves a child infeasible biases selection
-//!   toward the variable but never prunes, so an unverified probe cannot
-//!   break correctness. Under [`NodeOrder::BestBound`] the queue is
-//!   keyed on a **best-estimate** score — the node LP bound plus the
-//!   pseudo-cost-predicted cost of repairing every remaining fractional
-//!   variable — rather than the raw parent bound, and the gap test /
-//!   reported [`BranchBoundStats::dual_bound`] use the **global
-//!   open-node minimum** (a valid dual bound) instead of the weak root
-//!   LP bound. The pseudo-cost table is shared by all workers; updates
-//!   and reads are lock-free atomics.
-//! * [`Branching::MostFractional`] is the historical rule — highest
-//!   [`priority`](Model::set_priority) class first, most fractional
-//!   within it, ties broken to the lowest [`VarId`] (a pinned golden,
-//!   not an iteration-order accident). The trajectory goldens and the
-//!   ordering A/B benches stay pinned to this mode so their numbers
-//!   remain comparable across PRs.
+//! Under [`NodeOrder::BestBound`] the queue is keyed on a
+//! **best-estimate** score — the node LP bound plus the
+//! pseudo-cost-predicted cost of repairing every remaining fractional
+//! variable — rather than the raw parent bound. The gap test and the
+//! reported [`BranchBoundStats::dual_bound`] use the **global open-node
+//! minimum** (a valid dual bound) under both node orders. The
+//! pseudo-cost table is shared by all workers; updates and reads are
+//! lock-free atomics.
 //!
 //! On the retiming MILPs the `MAX_THR` formulation additionally carries
 //! **cycle-sum cuts** (`rr-core`'s formulation layer): every fundamental
@@ -258,10 +260,7 @@ mod standard;
 
 pub use branch_bound::{solve_with_stats, solve_with_stats_hinted, BranchBoundStats};
 pub use expr::{LinExpr, VarId};
-pub use model::{
-    cmp, Branching, CmpOp, Constraint, FactorKind, Kernel, Model, NodeOrder, Sense, SolverOptions,
-    UpdateKind, Variable,
-};
+pub use model::{cmp, CmpOp, Constraint, Kernel, Model, NodeOrder, Sense, SolverOptions, Variable};
 pub use recover::{FaultPlan, NumericalEvent, RecoveryStats};
 pub use solution::{Solution, SolveError, Status};
 

@@ -114,60 +114,24 @@ impl Constraint {
     }
 }
 
-/// Which simplex kernel solves the LP relaxations.
+/// Which simplex kernel solves the LP relaxations. The kernel also fixes
+/// the basis factorization; there is no separate factorization option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// Revised simplex: sparse columns, LU-factorized basis with
-    /// product-form eta updates, dual-simplex warm starts in branch &
-    /// bound. The production kernel.
+    /// Revised simplex: sparse columns, a sparse Markowitz LU of the
+    /// basis kept current by Forrest–Tomlin updates, dual-simplex warm
+    /// starts in branch & bound. The production kernel.
     #[default]
     Revised,
     /// The original dense full-tableau two-phase simplex, kept as a
     /// cross-validation oracle (and for A/B benchmarking). Pure LP
     /// relaxations solve directly on the tableau. A branch & bound
     /// search requested with this kernel runs the unified warm revised
-    /// backend in the oracle configuration ([`SolverOptions::resolve`]:
-    /// dense factors, product-form updates, cold node solves, one
-    /// worker) and then cross-validates the incumbent's pinned integer
+    /// backend in the oracle configuration — dense LU with product-form
+    /// updates, cold node solves ([`SolverOptions::resolve`]), one
+    /// worker — and then cross-validates the incumbent's pinned integer
     /// assignment against the genuine dense tableau.
     DenseTableau,
-}
-
-/// Which basis factorization backs the revised kernel's eta file (see
-/// the `factor` module docs). Under [`Kernel::DenseTableau`] this is
-/// normalized to [`FactorKind::Dense`] by [`SolverOptions::resolve`]
-/// (the pure-LP tableau itself carries no factorization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FactorKind {
-    /// Sparse LU with Markowitz pivot ordering and threshold partial
-    /// pivoting: `O(nnz(L+U))` storage and refactor cost proportional to
-    /// fill. The production default.
-    #[default]
-    Sparse,
-    /// Dense LU snapshot (`O(m²)` storage, `O(m³)` refactor), kept as
-    /// the cross-validation oracle for the sparse scheme.
-    Dense,
-}
-
-/// How the basis factorization absorbs a pivot (a one-column basis
-/// change) between refactorizations. Only the [`FactorKind::Sparse`]
-/// snapshot supports Forrest–Tomlin; the dense oracle always uses the
-/// product form (see the `factor` module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateKind {
-    /// Forrest–Tomlin: the leaving column of `U` is replaced by the
-    /// entering column's spike, the spike row is eliminated with one row
-    /// eta against `U`'s trailing submatrix, and the pivot is permuted
-    /// to the end — FTRAN/BTRAN keep solving against an *updated*
-    /// triangular `U` instead of replaying an unbounded eta file. The
-    /// production default.
-    #[default]
-    ForrestTomlin,
-    /// Product-form eta file: every pivot appends one eta transformation
-    /// that each subsequent FTRAN/BTRAN replays. The historical scheme,
-    /// kept as the cross-validation baseline (and the only scheme the
-    /// dense-LU oracle supports).
-    ProductForm,
 }
 
 /// Node selection strategy of the branch & bound search (see the
@@ -180,33 +144,13 @@ pub enum NodeOrder {
     /// subtrees.
     #[default]
     DfsNearerFirst,
-    /// Best-bound first: a priority queue keyed on the parent LP bound
-    /// (ties dive like DFS), with the parent basis handed off to each
-    /// queued child so warm starts survive the jumps. Finds strong
-    /// incumbents earlier under node caps and prunes the whole frontier
-    /// the moment the best queued bound cannot beat the incumbent.
+    /// Best-first: a priority queue keyed on a best-estimate score (the
+    /// parent LP bound plus the pseudo-cost-predicted cost of repairing
+    /// the remaining fractional variables; ties dive like DFS), with the
+    /// parent basis handed off to each queued child so warm starts
+    /// survive the jumps. Entries whose parent bound cannot beat the
+    /// incumbent are discarded unsolved.
     BestBound,
-}
-
-/// Branching-variable selection rule of the branch & bound search (see
-/// the crate-level "Branching and node scoring" docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Branching {
-    /// Pseudo-cost (reliability) branching: per-variable up/down
-    /// pseudo-costs are learned from the bound degradations the search
-    /// observes; a variable whose direction has fewer than four
-    /// observations is strong-branched (both children dual-reoptimized
-    /// under a small pivot budget) before its pseudo-cost is trusted.
-    /// Candidates are scored by the product rule and, under
-    /// [`NodeOrder::BestBound`], queued children are ordered by a
-    /// best-estimate key instead of the raw parent bound. The
-    /// production default.
-    #[default]
-    PseudoCost,
-    /// Highest priority class first, most fractional within it, ties
-    /// broken toward the lowest [`VarId`]. The historical rule; the
-    /// bit-exact trajectory goldens pin this mode.
-    MostFractional,
 }
 
 /// Resource limits and tolerances for the solver.
@@ -245,12 +189,6 @@ pub struct SolverOptions {
     /// `false` every node is solved two-phase from scratch, which is the
     /// configuration the warm-start regression tests compare against).
     pub warm_start: bool,
-    /// Basis factorization behind the revised kernel (see [`FactorKind`]).
-    pub factor: FactorKind,
-    /// How pivots update the factorization between refactorizations (see
-    /// [`UpdateKind`]); [`FactorKind::Dense`] always uses the product
-    /// form regardless of this setting.
-    pub update: UpdateKind,
     /// Branch & bound node selection strategy (see [`NodeOrder`]).
     pub node_order: NodeOrder,
     /// Eta-file length that triggers a refactorization; `0` (the
@@ -270,8 +208,6 @@ pub struct SolverOptions {
     /// [`SolverOptions::resolve`] normalizes `0` to `1` and pins the
     /// [`Kernel::DenseTableau`] oracle configuration to `1`.
     pub workers: usize,
-    /// Branching-variable selection rule (see [`Branching`]).
-    pub branching: Branching,
 }
 
 impl Default for SolverOptions {
@@ -291,13 +227,10 @@ impl Default for SolverOptions {
             gap_tol: 1e-9,
             kernel: Kernel::Revised,
             warm_start: true,
-            factor: FactorKind::Sparse,
-            update: UpdateKind::ForrestTomlin,
             node_order: NodeOrder::DfsNearerFirst,
             refactor_eta_len: 0,
             faults: None,
             workers: 1,
-            branching: Branching::PseudoCost,
         }
     }
 }
@@ -327,14 +260,10 @@ impl SolverOptions {
     /// * `workers == 0` becomes `1` (a solve needs one worker).
     /// * [`Kernel::DenseTableau`] is an oracle request: the search runs
     ///   the unified warm revised backend pinned to the dense-oracle
-    ///   setup — one worker, [`UpdateKind::ProductForm`],
-    ///   [`FactorKind::Dense`], cold node solves — and the incumbent is
+    ///   setup — one worker, cold node solves — and the incumbent is
     ///   cross-validated against the genuine dense tableau afterwards.
-    ///
-    /// Deliberately *not* normalized: [`FactorKind::Dense`] +
-    /// [`UpdateKind::ForrestTomlin`] (the dense factor internally
-    /// degrades to the product form; a documented, tested property of
-    /// the factor layer rather than an option conflict).
+    ///   The kernel itself selects the oracle's dense LU with
+    ///   product-form updates, so there is no factorization knob to pin.
     pub fn resolve(&self) -> (SolverOptions, Vec<String>) {
         let mut eff = self.clone();
         let mut notes = Vec::new();
@@ -349,20 +278,6 @@ impl SolverOptions {
                     eff.workers
                 ));
                 eff.workers = 1;
-            }
-            if eff.update != UpdateKind::ProductForm {
-                notes.push(format!(
-                    "update: {:?} -> ProductForm (the oracle configuration)",
-                    eff.update
-                ));
-                eff.update = UpdateKind::ProductForm;
-            }
-            if eff.factor != FactorKind::Dense {
-                notes.push(format!(
-                    "factor: {:?} -> Dense (the oracle configuration)",
-                    eff.factor
-                ));
-                eff.factor = FactorKind::Dense;
             }
             if eff.warm_start {
                 notes.push(
@@ -759,25 +674,12 @@ mod tests {
         .resolve();
         assert_eq!(eff.kernel, Kernel::DenseTableau);
         assert_eq!(eff.workers, 1);
-        assert_eq!(eff.update, UpdateKind::ProductForm);
-        assert_eq!(eff.factor, FactorKind::Dense);
         assert!(!eff.warm_start);
-        // workers, update, factor, warm_start each noted.
-        assert_eq!(notes.len(), 4, "{notes:?}");
-        for knob in ["workers", "update", "factor", "warm_start"] {
+        // workers and warm_start each noted.
+        assert_eq!(notes.len(), 2, "{notes:?}");
+        for knob in ["workers", "warm_start"] {
             assert!(notes.iter().any(|n| n.starts_with(knob)), "{notes:?}");
         }
-
-        // Dense factor + Forrest–Tomlin under the revised kernel is a
-        // documented internal degradation, not an option conflict.
-        let (eff, notes) = SolverOptions {
-            factor: FactorKind::Dense,
-            update: UpdateKind::ForrestTomlin,
-            ..Default::default()
-        }
-        .resolve();
-        assert_eq!(eff.update, UpdateKind::ForrestTomlin);
-        assert!(notes.is_empty(), "{notes:?}");
     }
 
     #[test]

@@ -48,11 +48,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::branch_bound::{
-    branch_children, finish, most_fractional_of, select_branch_var, BranchBoundStats, Frontier,
-    OpenNode, PseudoCosts, TreeNode, WarmBackend,
+    branch_children, finish, select_branch_var, BranchBoundStats, Frontier, OpenNode, PseudoCosts,
+    TreeNode, WarmBackend,
 };
 use crate::expr::VarId;
-use crate::model::{Branching, Model, NodeOrder, Sense, SolverOptions};
+use crate::model::{Model, NodeOrder, Sense, SolverOptions};
 use crate::solution::{Solution, SolveError};
 use crate::standard::{BoxedForm, ColMap};
 
@@ -222,18 +222,9 @@ impl Worker<'_, '_> {
                 return None;
             }
             while let Some(o) = sh.frontier.pop() {
+                // The queue is estimate-keyed, not bound-sorted, so a
+                // discarded entry proves only its own subtree useless.
                 if ctx.discard_unsolved(o.bound) {
-                    // Most-fractional keys equal bounds, so the queue is
-                    // bound-sorted: every remaining entry is at least as
-                    // bad, and with no episode in flight the incumbent
-                    // is proven optimal. (An estimate-keyed queue proves
-                    // only this entry useless; keep draining.)
-                    if ctx.opts.branching == Branching::MostFractional && sh.outstanding == 0 {
-                        sh.done = true;
-                        drop(sh);
-                        ctx.idle.notify_all();
-                        return None;
-                    }
                     continue;
                 }
                 sh.outstanding += 1;
@@ -279,30 +270,6 @@ impl Worker<'_, '_> {
         }
     }
 
-    /// Picks the branching variable according to
-    /// [`SolverOptions::branching`] (strong-branch probes run on this
-    /// worker's private kernel); `None` when the point is integral.
-    fn pick_branch_var(&mut self, sol: &Solution) -> Option<(VarId, f64)> {
-        let ctx = self.ctx;
-        match ctx.opts.branching {
-            Branching::MostFractional => {
-                most_fractional_of(ctx.model, &ctx.int_vars, ctx.opts.int_tol, sol)
-            }
-            Branching::PseudoCost => select_branch_var(
-                &mut self.backend,
-                ctx.model,
-                ctx.opts,
-                &ctx.int_vars,
-                sol,
-                &self.lo,
-                &self.hi,
-                ctx.sense_mul,
-                &ctx.pseudo,
-                &mut self.stats,
-            ),
-        }
-    }
-
     /// Round-and-fix heuristic: pin every integer's box to the rounded
     /// relaxation value, re-solve the continuous part on this worker's
     /// kernel, and offer the result as an incumbent. Integers fixed at
@@ -344,8 +311,8 @@ impl Worker<'_, '_> {
     }
 
     /// The children of expanded node `t` (arena index, depth `depth`)
-    /// with their frontier keys, far side first. Under pseudo-cost
-    /// best-bound the key is a best-estimate: the parent bound plus the
+    /// with their frontier keys, far side first. Under best-bound the
+    /// key is a best-estimate: the parent bound plus the
     /// shared completion term Σ_j min(down_j·f⁻_j, up_j·f⁺_j) over the
     /// *other* fractional variables, plus the per-child cost of rounding
     /// `vi` itself. Estimates order the queue but never prune (pruning
@@ -360,8 +327,7 @@ impl Worker<'_, '_> {
         let ctx = self.ctx;
         let vi = var.index();
         let signed_bound = ctx.signed(sol.objective);
-        let estimate = ctx.opts.branching == Branching::PseudoCost
-            && ctx.opts.node_order == NodeOrder::BestBound;
+        let estimate = ctx.opts.node_order == NodeOrder::BestBound;
         let mut common = 0.0;
         if estimate {
             for &v in &ctx.int_vars {
@@ -402,9 +368,7 @@ impl Worker<'_, '_> {
     }
 
     /// Gap termination test at a branching node whose signed bound is
-    /// `node_bound`. Most-fractional branching keeps the historical
-    /// root-LP rule (the pinned goldens replay bit-exact); pseudo-cost
-    /// branching measures against the valid global dual bound — this
+    /// `node_bound`, measured against the valid global dual bound — this
     /// node, the frontier, this worker's dive, and the other workers'
     /// episode floors.
     fn within_gap(&self, sh: &Shared, node_bound: f64, dive: &[OpenNode]) -> bool {
@@ -413,21 +377,17 @@ impl Worker<'_, '_> {
         if inc == f64::INFINITY {
             return false;
         }
-        let bound = match ctx.opts.branching {
-            Branching::MostFractional => ctx.signed(sh.root_bound),
-            Branching::PseudoCost => {
-                let others = sh
-                    .episode_floor
-                    .iter()
-                    .enumerate()
-                    .filter(|&(w, _)| w != self.id)
-                    .map(|(_, &f)| f);
-                dive.iter()
-                    .map(|o| o.bound)
-                    .chain(others)
-                    .fold(node_bound.min(sh.frontier.min_bound()), f64::min)
-            }
-        };
+        let others = sh
+            .episode_floor
+            .iter()
+            .enumerate()
+            .filter(|&(w, _)| w != self.id)
+            .map(|(_, &f)| f);
+        let bound = dive
+            .iter()
+            .map(|o| o.bound)
+            .chain(others)
+            .fold(node_bound.min(sh.frontier.min_bound()), f64::min);
         inc - bound <= ctx.opts.gap_tol * inc.abs().max(1.0)
     }
 
@@ -539,10 +499,7 @@ impl Worker<'_, '_> {
             // Pseudo-cost learning: this node's bound degradation against
             // its parent, normalized by the branch fractionality —
             // recorded before this node's own branching selection.
-            if ctx.opts.branching == Branching::PseudoCost
-                && node.vi != usize::MAX
-                && node.frac > ctx.opts.int_tol
-                && node.parent_obj.is_finite()
+            if node.vi != usize::MAX && node.frac > ctx.opts.int_tol && node.parent_obj.is_finite()
             {
                 let degrade = (ctx.signed(relax.objective) - ctx.signed(node.parent_obj)).max(0.0);
                 ctx.pseudo.record(node.vi, node.up, degrade / node.frac);
@@ -557,7 +514,19 @@ impl Worker<'_, '_> {
             let mut my_basis = None;
             if !pruned {
                 my_basis = self.backend.snapshot(ctx.opts).map(Arc::new);
-                branch = self.pick_branch_var(&relax);
+                // Strong-branch probes run on this worker's private kernel.
+                branch = select_branch_var(
+                    &mut self.backend,
+                    ctx.model,
+                    ctx.opts,
+                    &ctx.int_vars,
+                    &relax,
+                    &self.lo,
+                    &self.hi,
+                    ctx.sense_mul,
+                    &ctx.pseudo,
+                    &mut self.stats,
+                );
                 if branch.is_some()
                     && ctx.opts.rounding_heuristic
                     && (node.depth == 0 || node.depth.is_multiple_of(8))

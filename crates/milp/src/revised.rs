@@ -3,10 +3,9 @@
 //! Where the dense oracle ([`crate::simplex`]) updates an `(m+1) × width`
 //! tableau on every pivot, this kernel keeps the constraint matrix as
 //! **sparse columns**, the basis as a sparse LU kept current across
-//! pivots by Forrest–Tomlin updates — or an LU snapshot plus
-//! product-form eta file under
-//! [`UpdateKind::ProductForm`](crate::UpdateKind), see
-//! [`crate::factor`] — and — crucially — variable bounds on the
+//! pivots by Forrest–Tomlin updates — or, in the oracle configuration
+//! and on recovery-ladder rungs, an LU snapshot plus product-form eta
+//! file, see [`crate::factor`] — and — crucially — variable bounds on the
 //! *columns* (`l ≤ y ≤ u`) rather than as extra rows. Nonbasic columns
 //! rest at either bound; the entering step may terminate in a **bound
 //! flip** (no basis change at all). Compared to the row-bounded layout
@@ -30,8 +29,8 @@
 //!   column's box or a row's right-hand side in place; `x_B` is lazily
 //!   resynced by one sparse FTRAN at the next pivot run.
 
-use crate::factor::{Eta, Factor, FactorConfig};
-use crate::model::{SolverOptions, UpdateKind};
+use crate::factor::{Eta, Factor, FactorConfig, UpdateKind};
+use crate::model::SolverOptions;
 use crate::recover::{
     FaultInjector, FaultSite, NumericalEvent, RecoveryStats, RESIDUAL_CHECK_EVERY,
 };
@@ -157,8 +156,14 @@ pub(crate) struct Revised {
 
 impl Revised {
     /// Builds the kernel over a bounded-variable form (no basis yet);
-    /// `opts` selects the basis factorization and its refactor policy.
+    /// `opts.kernel` selects the basis factorization (see
+    /// [`FactorConfig::resolve`]).
     pub fn new(bf: &BoxedForm, opts: &SolverOptions) -> Revised {
+        Self::with_factor(bf, opts, FactorConfig::resolve(opts))
+    }
+
+    /// [`Revised::new`] with an explicit factorization.
+    fn with_factor(bf: &BoxedForm, opts: &SolverOptions, fcfg: FactorConfig) -> Revised {
         let m = bf.sf.rows.len();
         let n = bf.sf.ncols;
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -181,7 +186,7 @@ impl Revised {
             xb: vec![0.0; m],
             pending: Vec::new(),
             factor: None,
-            fcfg: FactorConfig::resolve(opts),
+            fcfg,
             dual_ok: false,
             iters: 0,
             factor_stats: FactorStats::default(),
@@ -1321,16 +1326,16 @@ impl Revised {
         &self.recovery
     }
 
-    /// Ladder rungs 4 and 6: a fresh kernel over the same form under
-    /// `opts` (which may select a different factorization, e.g. the
-    /// dense oracle), discarding every piece of possibly corrupted
-    /// basis/factor state while carrying over what must survive the
-    /// swap: the branch-tightened column boxes (the form only knows the
-    /// root boxes), the accumulated telemetry, the fault injector and
-    /// the original wall-clock deadline (a rebuild must not extend the
-    /// time budget).
-    pub fn rebuilt(&mut self, bf: &BoxedForm, opts: &SolverOptions) -> Revised {
-        let mut fresh = Revised::new(bf, opts);
+    /// Ladder rungs 4 and 6: a fresh kernel over the same form with
+    /// factorization `fcfg` (rung 6 passes the dense oracle's),
+    /// discarding every piece of possibly corrupted basis/factor state
+    /// while carrying over what must survive the swap: the
+    /// branch-tightened column boxes (the form only knows the root
+    /// boxes), the accumulated telemetry, the fault injector and the
+    /// original wall-clock deadline (a rebuild must not extend the time
+    /// budget).
+    pub fn rebuilt(&mut self, bf: &BoxedForm, opts: &SolverOptions, fcfg: FactorConfig) -> Revised {
+        let mut fresh = Revised::with_factor(bf, opts, fcfg);
         fresh.b.copy_from_slice(&self.b);
         fresh.lower.copy_from_slice(&self.lower);
         fresh.upper.copy_from_slice(&self.upper);
@@ -1775,9 +1780,10 @@ mod tests {
         assert!(v[0] - v[1] >= s * (1.0 - 1e-6), "{v:?}");
     }
 
-    /// `SolverOptions::update` reaches the kernel: under Forrest–Tomlin
-    /// the eta file stays empty and updates are counted (with the same
-    /// optimum); under the product form no FT update ever runs.
+    /// The update scheme reaches the kernel: the production kernel runs
+    /// Forrest–Tomlin and counts its updates; after the ladder's
+    /// product-form switch (rung 3) no FT update runs, with the same
+    /// optimum.
     #[test]
     fn update_kind_reaches_the_kernel() {
         let mut m = Model::new(Sense::Minimize);
@@ -1789,12 +1795,10 @@ mod tests {
         m.add_constraint(x + 2.0 * y, cmp::GE, 4.0);
         m.add_constraint(y + 3.0 * z, cmp::GE, 5.0);
         let bf = BoxedForm::build(&m);
-        let run = |update: crate::model::UpdateKind| {
-            let opts = SolverOptions {
-                update,
-                ..Default::default()
-            };
+        let run = |update: UpdateKind| {
+            let opts = SolverOptions::default();
             let mut k = Revised::new(&bf, &opts);
+            k.set_update_kind(update);
             let mut budget = opts.max_pivots;
             k.solve_two_phase(&opts, &mut budget).unwrap();
             let v = bf.sf.recover(&k.values());

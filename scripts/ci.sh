@@ -30,10 +30,11 @@ echo "==> cargo test -p rr-milp proptests (fixed-seed kernel/oracle gate)"
 cargo test -q -p rr-milp --offline proptests
 
 # The node-ordering regression: DFS through the worker engine must
-# reproduce the pre-refactor golden trajectories bit-for-bit, best-bound
-# must escape the 40-edge MAX_THR plateau, and both orderings must prove
-# identical optima on every instance they can complete. Fixed seeds and
-# node caps (no wall clocks), so failures reproduce exactly.
+# reproduce the pinned production trajectories (cycle-sum cuts off)
+# bit-for-bit, both orderings must prove the 40-edge MAX_THR optimum
+# under the 1000-node cap, and both must prove identical optima on every
+# instance they can complete. Fixed seeds and node caps (no wall
+# clocks), so failures reproduce exactly.
 echo "==> cargo test --test search_orders (fixed-seed node-ordering gate)"
 cargo test -q --offline --test search_orders
 
@@ -46,7 +47,7 @@ echo "==> cargo test --test fault_injection (fixed-seed recovery-ladder gate)"
 cargo test -q --offline --release --test fault_injection
 
 # The worker-engine determinism gate: workers=1 must reproduce the
-# serial goldens bit-exact (the historical most-fractional ones and the
+# serial goldens bit-exact (the search_orders trajectories and the
 # production-configuration stats goldens), workers∈{2,4} must prove
 # identical optima and verdicts on every completed Table-1 instance,
 # and fault-injected parallel runs must agree with their clean twins.
@@ -56,7 +57,7 @@ cargo test -q --offline --release --test parallel_search
 
 # The pseudo-cost trajectory gate: node-count goldens for the default
 # search (pseudo-cost branching + cycle-sum cuts) on fixed-seed
-# instances, the search-strength comparisons against most-fractional,
+# instances, the search-strength gates (proofs within node budgets),
 # and the dual-bound/gap regression tests. Fixed seeds and node caps.
 echo "==> cargo test --test pseudo_cost_search (pseudo-cost golden gate)"
 cargo test -q --offline --release --test pseudo_cost_search
@@ -68,8 +69,8 @@ cargo test -q --offline --release --test pseudo_cost_search
 echo "==> cargo test --test pricing_search (pricing gate)"
 cargo test -q --offline --release --test pricing_search
 
-# The backend-unification gate: the two PR 4 golden instances must
-# replay bit-exact through the unified warm backend, mirrored/free
+# The backend-unification gate: the two golden instances must replay
+# bit-exact through the unified warm backend, mirrored/free
 # integer fixtures (the deleted LegacyBackend's model class) must solve
 # warm at workers∈{1,2} and agree with the dense oracle, and
 # source-level assertions pin that no model clone lives in the node
@@ -113,5 +114,13 @@ cargo bench --no-run --offline
 # uses.
 echo "==> perfbench build"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+# The run-to-run determinism gate of the production search: two traced
+# milp_large runs with one seed must repeat every deterministic counter
+# (nodes, pivots, Markov states, simulated cycles, the ξ ratio)
+# exactly. Node caps bound the solves, so a mismatch is a real
+# nondeterminism, not host speed.
+echo "==> perfbench --determinism (production-search determinism gate)"
+python3 perfbench/run.py --determinism --workload milp_large --seed 42 --seconds 30
 
 echo "CI OK"

@@ -4,9 +4,11 @@
 //! search backend that owned mirrored and free integer variables — is
 //! gone. This suite pins the three facts that deletion rests on:
 //!
-//! * **Goldens survive** — the two PR 4 golden instances (frozen local
+//! * **Goldens survive** — the two golden instances (frozen local
 //!   copies) replay bit-exact through the unified warm path: same
-//!   objective, node count, pivot count, warm/cold solve split.
+//!   objective, node count, pivot count, warm/cold solve split. They
+//!   were first pinned under most-fractional branching and re-pinned to
+//!   the production search when that rule was retired.
 //! * **The legacy model class runs warm** — mirrored (upper-bound-only)
 //!   and free (split-pair) integer fixtures solve through `WarmBackend`
 //!   at `workers ∈ {1, 2}`, agree with the dense-tableau oracle request
@@ -22,20 +24,8 @@
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, Kernel, LinExpr, Model, NodeOrder, Sense,
-    SolverOptions, Status, UpdateKind,
+    cmp, solve_with_stats, Kernel, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status,
 };
-
-/// PR 4 golden options: most-fractional + Dantzig + product form, the
-/// configuration the goldens were captured under (frozen copy of the
-/// `search_orders.rs` helper — the two suites must drift independently).
-fn golden_opts() -> SolverOptions {
-    SolverOptions {
-        update: UpdateKind::ProductForm,
-        branching: Branching::MostFractional,
-        ..SolverOptions::default()
-    }
-}
 
 /// Frozen copy of the PR 4 ring-difference golden instance. Deliberately
 /// duplicated here rather than imported: this gate pins the *unified*
@@ -66,24 +56,24 @@ fn ring_difference_milp(n: usize, rows: usize) -> Model {
 }
 
 /// Golden replay 1: the ring MILP through the unified warm path must
-/// reproduce the PR 4 trajectory exactly — deleting the legacy backend
-/// may not move a single node or pivot on the boxed-integer path.
+/// reproduce the pinned trajectory of the default options exactly — not
+/// a single node or pivot may move on the boxed-integer path.
 #[test]
 fn ring_milp_golden_replays_bit_exact_through_the_unified_backend() {
     let m = ring_difference_milp(12, 6);
-    let (sol, stats) = solve_with_stats(&m, &golden_opts()).unwrap();
+    let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!(
         (sol.objective - 50.0).abs() < 1e-12,
         "obj {}",
         sol.objective
     );
-    assert_eq!(stats.nodes, 79, "node count drifted from the PR 4 golden");
+    assert_eq!(stats.nodes, 187, "node count drifted from the golden");
     assert_eq!(
-        stats.simplex_iters, 135,
-        "pivot count drifted from the PR 4 golden"
+        stats.simplex_iters, 744,
+        "pivot count drifted from the golden"
     );
-    assert_eq!(stats.warm_solves, 78);
+    assert_eq!(stats.warm_solves, 186);
     assert_eq!(
         stats.cold_solves, 1,
         "clean runs warm-start after one cold solve"
@@ -92,7 +82,7 @@ fn ring_milp_golden_replays_bit_exact_through_the_unified_backend() {
 }
 
 /// Golden replay 2: the 20-edge `MAX_THR` bench instance (hint-seeded,
-/// budget-truncated) through the unified warm path.
+/// proven in 37 nodes without cuts) through the unified warm path.
 #[test]
 fn bench20_max_thr_golden_replays_bit_exact_through_the_unified_backend() {
     let g = bench_instance(20);
@@ -100,9 +90,6 @@ fn bench20_max_thr_golden_replays_bit_exact_through_the_unified_backend() {
     opts.solver.time_limit = None;
     opts.solver.max_nodes = 2000;
     opts.solver.node_order = NodeOrder::DfsNearerFirst;
-    opts.solver.factor = FactorKind::Sparse;
-    opts.solver.branching = Branching::MostFractional;
-    opts.solver.update = UpdateKind::ProductForm;
     opts.cuts = false;
     let out = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
     assert!(
@@ -110,17 +97,14 @@ fn bench20_max_thr_golden_replays_bit_exact_through_the_unified_backend() {
         "obj {}",
         out.objective
     );
+    assert_eq!(out.stats.nodes, 37, "node count drifted from the golden");
     assert_eq!(
-        out.stats.nodes, 2000,
-        "node count drifted from the PR 4 golden"
+        out.stats.simplex_iters, 956,
+        "pivot count drifted from the golden"
     );
-    assert_eq!(
-        out.stats.simplex_iters, 5969,
-        "pivot count drifted from the PR 4 golden"
-    );
-    assert_eq!(out.stats.warm_solves, 1999);
+    assert_eq!(out.stats.warm_solves, 36);
     assert_eq!(out.stats.cold_solves, 1);
-    assert!(out.stats.truncated);
+    assert!(!out.stats.truncated);
 }
 
 /// A mirrored-integer fixture: `y` has no lower bound, only an upper

@@ -5,9 +5,9 @@
 //! * **Serial bit-exactness** — `workers = 1` must reproduce the pinned
 //!   `search_orders` goldens *bit-exact* (same objective, same node and
 //!   pivot counts, same incumbent trace), and the production
-//!   configuration the benchmark measures (pseudo-cost branching,
-//!   cycle-sum cuts, 0.5 % gap) must replay its pinned
-//!   `BranchBoundStats` field for field, `node_bounds` bitwise.
+//!   configuration the benchmark measures (cycle-sum cuts, 0.5 % gap)
+//!   must replay its pinned `BranchBoundStats` field for field,
+//!   `node_bounds` bitwise.
 //! * **Schedule independence of verdicts** — `workers ∈ {2, 4}` must
 //!   prove identical optima (≤ 1e-7) and identical verdicts as the
 //!   serial search on every Table-1 instance the serial search
@@ -27,25 +27,22 @@
 use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
 use rr_core::{formulation, CoreOptions};
 use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, FaultPlan, LinExpr, Model, NodeOrder, Sense,
-    SolverOptions, Status, UpdateKind,
+    cmp, solve_with_stats, FaultPlan, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status,
 };
 use rr_rrg::figures;
 use rr_rrg::iscas::IscasProfile;
 use rr_rrg::Rrg;
 
-/// Deterministic solver options: node caps only, no wall clock. Pinned
-/// to most-fractional branching without cycle-sum cuts — the regime the
-/// trajectory goldens were captured under.
+/// Deterministic solver options: node caps only, no wall clock, and no
+/// cycle-sum cuts — the regime the `search_orders` goldens were
+/// captured under.
 fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
     opts.solver.node_order = order;
-    opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
-    opts.solver.branching = Branching::MostFractional;
     opts.cuts = false;
     opts
 }
@@ -97,11 +94,7 @@ fn assert_stats_identical(mut a: rr_milp::BranchBoundStats, mut b: rr_milp::Bran
 #[test]
 fn one_worker_matches_the_serial_goldens_bit_exact() {
     let m = ring_difference_milp(12, 6);
-    let serial = SolverOptions {
-        update: UpdateKind::ProductForm,
-        branching: Branching::MostFractional,
-        ..SolverOptions::default()
-    };
+    let serial = SolverOptions::default();
     let explicit = SolverOptions {
         workers: 1,
         ..serial.clone()
@@ -115,27 +108,28 @@ fn one_worker_matches_the_serial_goldens_bit_exact() {
         "obj {}",
         sol.objective
     );
-    assert_eq!(stats.nodes, 79, "node count drifted from serial golden");
-    assert_eq!(stats.simplex_iters, 135, "pivot count drifted");
-    assert_eq!(stats.warm_solves, 78);
+    assert_eq!(stats.nodes, 187, "node count drifted from serial golden");
+    assert_eq!(stats.simplex_iters, 744, "pivot count drifted");
+    assert_eq!(stats.warm_solves, 186);
     assert_eq!(stats.cold_solves, 1);
     assert_eq!(stats.incumbents, 1);
-    assert_eq!(stats.first_incumbent_node, 64);
-    assert_eq!(stats.incumbent_trace, vec![(64, 50.0)]);
+    assert_eq!(stats.first_incumbent_node, 50);
+    assert_eq!(stats.incumbent_trace, vec![(50, 50.0)]);
     // Bit-exactness against the default run, field for field.
     assert_eq!(sol.objective.to_bits(), sol_default.objective.to_bits());
     assert_stats_identical(stats, stats_default);
 }
 
-/// `workers = 1` on the best-bound 40-edge plateau case: identical
-/// trajectory to the default serial run, including under truncation.
+/// `workers = 1` on the best-bound 40-edge `MAX_THR`: identical
+/// trajectory to the default serial run, including under truncation
+/// (the search proves the optimum in 27 nodes, so a cap of 20 stops it).
 #[test]
 fn one_worker_matches_serial_best_bound_truncated_runs() {
     let g = bench_instance(40);
     let serial =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 1000, 1)).unwrap();
+        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 20, 1)).unwrap();
     let default_run =
-        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 1000, 0)).unwrap();
+        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::BestBound, 20, 0)).unwrap();
     assert_eq!(
         serial.objective.to_bits(),
         default_run.objective.to_bits(),
@@ -155,8 +149,9 @@ fn one_worker_matches_serial_best_bound_truncated_runs() {
 }
 
 /// The production configuration the benchmark measures: default
-/// `SolverOptions` (pseudo-cost branching), cycle-sum cuts on, the `CoreOptions::default()` 0.5 % gap — minus
-/// the wall clock, so only the node cap can stop a search.
+/// `SolverOptions`, cycle-sum cuts on, the `CoreOptions::default()`
+/// 0.5 % gap — minus the wall clock, so only the node cap can stop a
+/// search.
 fn production(order: NodeOrder, max_nodes: usize) -> CoreOptions {
     let mut opts = CoreOptions::default();
     opts.solver.time_limit = None;

@@ -12,10 +12,7 @@
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, LinExpr, Model, NodeOrder, Sense, SolverOptions,
-    Status,
-};
+use rr_milp::{cmp, solve_with_stats, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status};
 
 /// Deterministic solver options: node caps only, no wall clock.
 fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
@@ -23,10 +20,8 @@ fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
     opts.solver.node_order = order;
-    opts.solver.factor = FactorKind::Sparse;
     opts.solver.gap_tol = 1e-9;
     opts.solver.workers = workers;
-    opts.solver.branching = Branching::MostFractional;
     opts.cuts = false;
     opts
 }

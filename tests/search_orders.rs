@@ -2,15 +2,15 @@
 //! (`rr-milp`), which runs every solve through one worker engine
 //! (`workers = 1` is a single worker of it):
 //!
-//! * **Bit-compatibility** — `NodeOrder::DfsNearerFirst` must reproduce
+//! * **Trajectory goldens** — `NodeOrder::DfsNearerFirst` must reproduce
 //!   the exact node count, pivot count and incumbent trace of the
-//!   historical recursive `WarmSearch` on two fixed-seed instances
-//!   (golden values captured before the first search refactor landed,
-//!   and replayed unchanged by every search loop since).
-//! * **Plateau escape** — on the 40-edge `MAX_THR` bench instance (the
-//!   ROADMAP motivating case) truncated DFS plateaus at incumbent 4.0
-//!   under small node caps; `BestBound` must find 3.0 within the same
-//!   cap.
+//!   production search (pseudo-cost branching, cycle-sum cuts off) on
+//!   two fixed-seed instances. The test names date from the node-loop
+//!   refactor these goldens first guarded; the values were re-pinned
+//!   when most-fractional branching was retired.
+//! * **Plateau escape** — on the 40-edge `MAX_THR` bench instance
+//!   most-fractional DFS used to plateau at incumbent 4.0; both orders
+//!   must prove 3.0 within the same cap.
 //! * **Agreement** — both orderings prove identical optima on every
 //!   Table-1-style instance they can run to completion.
 //!
@@ -19,24 +19,19 @@
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, Branching, FactorKind, LinExpr, Model, NodeOrder, Sense, SolverOptions,
-    Status, UpdateKind,
-};
+use rr_milp::{cmp, solve_with_stats, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status};
 use rr_rrg::figures;
 use rr_rrg::Rrg;
 
 /// Deterministic solver options: node caps only, no wall clock. The
-/// goldens below were captured under most-fractional branching without
-/// cycle-sum cuts, so both are pinned off here (the pseudo-cost default
-/// has its own goldens in `pseudo_cost_search.rs`).
-fn capped(order: NodeOrder, max_nodes: usize, factor: FactorKind) -> CoreOptions {
+/// goldens below were captured without cycle-sum cuts, so they are
+/// pinned off here (the search with cuts has its own goldens in
+/// `pseudo_cost_search.rs`).
+fn capped(order: NodeOrder, max_nodes: usize) -> CoreOptions {
     let mut opts = CoreOptions::fast();
     opts.solver.time_limit = None;
     opts.solver.max_nodes = max_nodes;
     opts.solver.node_order = order;
-    opts.solver.factor = factor;
-    opts.solver.branching = Branching::MostFractional;
     opts.cuts = false;
     opts
 }
@@ -70,134 +65,97 @@ fn ring_difference_milp(n: usize, rows: usize) -> Model {
     m
 }
 
-/// Golden regression of the refactor itself, instance 1: the exact
-/// search trajectory of the pre-refactor `WarmSearch` on the ring MILP
-/// (captured at commit 6387b77, default options of that era — which
-/// means the **product-form** eta update, pinned explicitly now that
-/// Forrest–Tomlin is the default; the FT path is covered by its own
-/// A/B agreement suites).
+/// Golden regression, instance 1: the exact search trajectory of the
+/// default options on the ring MILP (captured on the commit before
+/// most-fractional branching was removed).
 #[test]
 fn dfs_reproduces_pre_refactor_trajectory_on_ring_milp() {
     let m = ring_difference_milp(12, 6);
-    let opts = SolverOptions {
-        update: UpdateKind::ProductForm,
-        branching: Branching::MostFractional,
-        ..SolverOptions::default()
-    };
-    let (sol, stats) = solve_with_stats(&m, &opts).unwrap();
+    let (sol, stats) = solve_with_stats(&m, &SolverOptions::default()).unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!(
         (sol.objective - 50.0).abs() < 1e-12,
         "obj {}",
         sol.objective
     );
+    assert_eq!(stats.nodes, 187, "node count drifted from the golden");
     assert_eq!(
-        stats.nodes, 79,
-        "node count drifted from pre-refactor golden"
+        stats.simplex_iters, 744,
+        "pivot count drifted from the golden"
     );
-    assert_eq!(
-        stats.simplex_iters, 135,
-        "pivot count drifted from pre-refactor golden"
-    );
-    assert_eq!(stats.warm_solves, 78);
+    assert_eq!(stats.warm_solves, 186);
     assert_eq!(stats.cold_solves, 1);
     assert!(!stats.truncated);
-    // Incumbent trace: exactly one incumbent, at node 64, objective 50.
+    // Incumbent trace: exactly one incumbent, at node 50, objective 50.
     assert_eq!(stats.incumbents, 1);
-    assert_eq!(stats.first_incumbent_node, 64);
+    assert_eq!(stats.first_incumbent_node, 50);
     assert_eq!(stats.incumbent_trace.len(), 1);
     let (node, obj) = stats.incumbent_trace[0];
-    assert_eq!(node, 64);
+    assert_eq!(node, 50);
     assert!((obj - 50.0).abs() < 1e-12);
 }
 
 /// Golden regression, instance 2: the 20-edge `MAX_THR` bench instance
-/// at `CoreOptions::fast()` sans wall clock (node cap 2000) — a
-/// hint-seeded, budget-truncated search (captured at commit 6387b77,
-/// product-form update pinned as in instance 1).
+/// at `CoreOptions::fast()` sans wall clock and cuts (node cap 2000) —
+/// a hint-seeded search that proves the hint optimal in 37 nodes
+/// (captured as in instance 1).
 #[test]
 fn dfs_reproduces_pre_refactor_trajectory_on_bench20_max_thr() {
     let g = bench_instance(20);
-    let mut opts = capped(NodeOrder::DfsNearerFirst, 2000, FactorKind::Sparse);
-    opts.solver.update = UpdateKind::ProductForm;
+    let opts = capped(NodeOrder::DfsNearerFirst, 2000);
     let out = formulation::max_thr(&g, g.max_delay(), &opts).unwrap();
-    assert!(
-        (out.objective - 6.497_501_818_546_008_5).abs() < 1e-12,
+    assert_eq!(
+        out.objective.to_bits(),
+        4619001555119598635,
         "obj {}",
         out.objective
     );
+    assert_eq!(out.stats.nodes, 37, "node count drifted from the golden");
     assert_eq!(
-        out.stats.nodes, 2000,
-        "node count drifted from pre-refactor golden"
+        out.stats.simplex_iters, 956,
+        "pivot count drifted from the golden"
     );
-    assert_eq!(
-        out.stats.simplex_iters, 5969,
-        "pivot count drifted from pre-refactor golden"
-    );
-    assert_eq!(out.stats.warm_solves, 1999);
+    assert_eq!(out.stats.warm_solves, 36);
     assert_eq!(out.stats.cold_solves, 1);
-    assert!(out.stats.truncated);
-    assert!(!out.proven_optimal);
+    assert!(!out.stats.truncated);
+    assert!(out.proven_optimal);
     // Single incumbent, seeded by the warm-start hint before any node.
     assert_eq!(out.stats.incumbents, 1);
     assert_eq!(out.stats.first_incumbent_node, 0);
-    assert_eq!(out.stats.incumbent_trace.len(), 1);
-    let (node, obj) = out.stats.incumbent_trace[0];
-    assert_eq!(node, 0);
-    assert!((obj - 6.497_501_818_546_008_5).abs() < 1e-12);
+    assert_eq!(
+        out.stats.incumbent_trace,
+        vec![(0, f64::from_bits(4619001555119598635))]
+    );
 }
 
-/// The ROADMAP motivating case: on the 40-edge `MAX_THR` bench instance
-/// (dense-LU configuration) truncated DFS plateaus at incumbent 4.0 at
-/// node caps from 200 to 4000, while best-bound search finds 3.0 within
-/// the same cap.
+/// The former ROADMAP motivating case: on the 40-edge `MAX_THR` bench
+/// instance truncated most-fractional DFS plateaued at incumbent 4.0 at
+/// node caps from 200 to 4000, while best-bound search found 3.0. Under
+/// pseudo-cost branching the plateau is gone: both orders prove 3.0
+/// well inside the cap, DFS in 27 nodes.
 #[test]
 fn best_bound_escapes_the_dfs_plateau_on_the_40_edge_bench() {
     let g = bench_instance(40);
     let cap = 1000;
-    let dfs = formulation::max_thr(
-        &g,
-        g.max_delay(),
-        &capped(NodeOrder::DfsNearerFirst, cap, FactorKind::Dense),
-    )
-    .unwrap();
-    assert!(
-        dfs.stats.truncated,
-        "DFS unexpectedly completed; raise the cap"
-    );
-    assert!(
-        (dfs.objective - 4.0).abs() < 1e-6,
-        "DFS plateau moved: objective {} (golden 4.0)",
-        dfs.objective
-    );
-    let bb = formulation::max_thr(
-        &g,
-        g.max_delay(),
-        &capped(NodeOrder::BestBound, cap, FactorKind::Dense),
-    )
-    .unwrap();
-    assert!(
-        bb.objective <= 3.0 + 1e-6,
-        "best-bound failed to escape the plateau: objective {} (DFS {})",
-        bb.objective,
-        dfs.objective
-    );
-    // Quantified by the new stats: best-bound's incumbent trajectory
-    // reaches its best strictly below DFS's plateau value.
-    let best_traced = bb
-        .stats
-        .incumbent_trace
-        .iter()
-        .map(|&(_, obj)| obj)
-        .fold(f64::INFINITY, f64::min);
-    assert!(best_traced <= 3.0 + 1e-6);
+    for order in [NodeOrder::DfsNearerFirst, NodeOrder::BestBound] {
+        let out = formulation::max_thr(&g, g.max_delay(), &capped(order, cap)).unwrap();
+        assert!(out.proven_optimal, "{order:?} did not prove the optimum");
+        assert!(
+            (out.objective - 3.0).abs() < 1e-6,
+            "{order:?}: objective {} (golden 3.0)",
+            out.objective
+        );
+        if order == NodeOrder::DfsNearerFirst {
+            assert_eq!(out.stats.nodes, 27, "DFS node count drifted");
+        }
+    }
 }
 
 /// Both orderings prove identical optima (within 1e-7) on every Table-1
 /// instance they can run to completion: the paper-figure circuits
 /// (`MAX_THR` at the min-delay cycle time and `MIN_CYC(1)`) and the
-/// bench-family instances (`MIN_CYC(1)`, the formulation both orderings
-/// close — `MAX_THR` keeps a fractional-x plateau open at any cap).
+/// bench-family instances (`MIN_CYC(1)`; the 40-edge `MAX_THR` has its
+/// own test above).
 #[test]
 fn orderings_prove_identical_optima_on_table1_instances() {
     let figures: Vec<(&str, Rrg)> = vec![
@@ -207,7 +165,7 @@ fn orderings_prove_identical_optima_on_table1_instances() {
         ("figure_2(0.7)", figures::figure_2(0.7)),
     ];
     let opts_for = |order: NodeOrder| {
-        let mut o = capped(order, 20_000, FactorKind::Sparse);
+        let mut o = capped(order, 20_000);
         o.solver.gap_tol = 1e-9;
         o
     };
@@ -267,22 +225,20 @@ fn orderings_prove_identical_optima_on_table1_instances() {
 #[test]
 fn truncated_solves_surface_feasible_verdicts_in_reports() {
     let g = bench_instance(20);
-    let out = formulation::max_thr(
-        &g,
-        g.max_delay(),
-        &capped(NodeOrder::DfsNearerFirst, 50, FactorKind::Sparse),
-    )
-    .unwrap();
+    // The search proves this optimum in 37 nodes; a 10-node cap stops
+    // it with only the hint incumbent.
+    let out =
+        formulation::max_thr(&g, g.max_delay(), &capped(NodeOrder::DfsNearerFirst, 10)).unwrap();
     assert!(
         !out.proven_optimal,
-        "a 50-node cap cannot prove this optimum"
+        "a 10-node cap cannot prove this optimum"
     );
     assert!(out.truncated(), "OptOutcome must surface the truncation");
     assert!(out.stats.truncated);
 
     // A completed solve reports the opposite on every surface.
     let done = formulation::min_cyc(&g, 1.0, &{
-        let mut o = capped(NodeOrder::BestBound, 20_000, FactorKind::Sparse);
+        let mut o = capped(NodeOrder::BestBound, 20_000);
         o.solver.gap_tol = 1e-9;
         o
     })
