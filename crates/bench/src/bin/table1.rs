@@ -6,21 +6,32 @@
 //! cargo run --release -p rr-bench --bin table1 [-- --seed N --only s400]
 //! ```
 //!
+//! `--only` takes exactly one circuit name; an unknown name or a list
+//! exits with status 2.
+//!
 //! Absolute values differ from the paper (the graph attributes were
 //! random there too); the qualitative shape — several Pareto points, the
 //! LP picking a near-optimal one, err% growing as bubbles are inserted —
-//! is the reproduction target (see EXPERIMENTS.md).
+//! is the reproduction target.
 
-use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::HarnessArgs;
 use rr_core::report::evaluate_benchmark;
-use rr_rrg::iscas::IscasProfile;
+use rr_rrg::iscas::{IscasProfile, TABLE2};
 
 fn main() {
     let args = HarnessArgs::parse(std::env::args().skip(1));
+    let known: Vec<&str> = TABLE2.iter().map(|p| p.name).collect();
+    args.require_known_only(&known);
+    if args.only.len() > 1 {
+        eprintln!(
+            "error: table1 runs one circuit, --only names {}: {}",
+            args.only.len(),
+            args.only.join(", ")
+        );
+        std::process::exit(2);
+    }
     let name = args.only.first().map(String::as_str).unwrap_or("s526");
-    let profile = IscasProfile::by_name(name)
-        .unwrap_or_else(|| panic!("unknown circuit {name}; see Table 2 for names"));
+    let profile = IscasProfile::by_name(name).expect("--only was checked against TABLE2");
     let effective = args.effective_profile(&profile);
     let g = effective.generate(args.seed);
     println!(
@@ -39,20 +50,11 @@ fn main() {
     }
     args.print_resolve_notes();
     println!();
-    let t0 = std::time::Instant::now();
     let (row, table1) =
         evaluate_benchmark(name, &g, &args.core_options()).expect("benchmark pipeline succeeds");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     print!("{table1}");
     println!(
         "\nξ* = {:.2}, ξ_nee = {:.2}, ξ_lp_min = {:.2}, ξ_sim_min = {:.2}, I% = {:.1}",
         row.xi_star, row.xi_nee, row.xi_lp_min, row.xi_sim_min, row.improvement_pct
     );
-    append(&[JsonRecord::new("table1")
-        .str("circuit", name)
-        .int("edges", g.num_edges() as u64)
-        .num("wall_ms", wall_ms)
-        .int("milp_nodes", table1.outcome.total_nodes as u64)
-        .int("pivots", table1.outcome.total_simplex_iters as u64)
-        .num("xi_sim_min", row.xi_sim_min)]);
 }

@@ -9,11 +9,11 @@
 //! cargo run --release -p rr-bench --bin table2 -- --only s27,s526 --verbose
 //! ```
 //!
-//! By default profiles larger than 150 edges are scaled down (our from-
-//! scratch MILP solver stands in for CPLEX; see EXPERIMENTS.md for the
-//! deviation log). Circuits run in parallel across cores.
+//! By default profiles larger than 150 edges are scaled down: the
+//! from-scratch MILP solver stands in for CPLEX, which the paper ran
+//! with 20-minute timeouts on the full graphs (`--full-size` lifts the
+//! cap). Circuits run in parallel across cores.
 
-use rr_bench::bench_log::{append, JsonRecord};
 use rr_bench::{parallel_map, HarnessArgs};
 use rr_core::report::{evaluate_benchmark, Table2};
 use rr_rrg::iscas::TABLE2;
@@ -22,18 +22,8 @@ fn main() {
     let args = HarnessArgs::parse(std::env::args().skip(1));
     let opts = args.core_options();
 
-    // An unknown `--only` name used to produce a silently empty sweep
-    // (exit 0, no rows); fail loudly instead.
     let known: Vec<&str> = TABLE2.iter().map(|p| p.name).collect();
-    let unknown = args.unknown_only(&known);
-    if !unknown.is_empty() {
-        eprintln!(
-            "error: unknown circuit(s) in --only: {} (known: {})",
-            unknown.join(", "),
-            known.join(", ")
-        );
-        std::process::exit(2);
-    }
+    args.require_known_only(&known);
 
     let selected: Vec<_> = TABLE2
         .iter()
@@ -58,18 +48,14 @@ fn main() {
         } else {
             String::new()
         };
-        let edges = g.num_edges();
-        let t0 = std::time::Instant::now();
         let res = evaluate_benchmark(profile.name, &g, &opts);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        (profile.name, scaled, edges, wall_ms, res)
+        (profile.name, scaled, res)
     });
 
     let total = results.len();
     let mut table = Table2::default();
-    let mut records = Vec::new();
     let mut completed = 0usize;
-    for (name, scaled, edges, wall_ms, res) in results {
+    for (name, scaled, res) in results {
         match res {
             Ok((row, table1)) => {
                 if args.verbose {
@@ -83,32 +69,11 @@ fn main() {
                 if row.proven_optimal {
                     completed += 1;
                 }
-                records.push(
-                    JsonRecord::new("table2")
-                        .str("circuit", name)
-                        .int("edges", edges as u64)
-                        .num("wall_ms", wall_ms)
-                        .int("milp_nodes", table1.outcome.total_nodes as u64)
-                        .int("pivots", table1.outcome.total_simplex_iters as u64)
-                        .num("xi_sim_min", row.xi_sim_min)
-                        .int("proven", u64::from(row.proven_optimal))
-                        .int("incidents", row.incidents as u64),
-                );
                 table.rows.push(row);
             }
-            Err(e) => {
-                eprintln!("{name}: failed: {e}");
-                records.push(
-                    JsonRecord::new("table2")
-                        .str("circuit", name)
-                        .int("edges", edges as u64)
-                        .num("wall_ms", wall_ms)
-                        .str("error", &e.to_string()),
-                );
-            }
+            Err(e) => eprintln!("{name}: failed: {e}"),
         }
     }
-    append(&records);
     println!();
     print!("{table}");
     println!(

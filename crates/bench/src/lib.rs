@@ -8,11 +8,10 @@
 //! | `table1`  | Table 1 — all non-dominated RCs of the s526 profile |
 //! | `table2`  | Table 2 — the 18 ISCAS89 profiles with ξ*, ξ_nee, ξ_lp, ξ_sim, I% |
 //!
-//! Criterion benches live in `benches/` and measure the *performance* of
-//! the reproduction itself (MILP scaling, simulator cost); the binaries
-//! produce the *numbers*.
-
-pub mod bench_log;
+//! The binaries produce the *numbers*. The *performance* of the
+//! reproduction is measured by the repository benchmark in `perfbench/`
+//! (`python3 perfbench/run.py`), which runs serially and stamps every
+//! record with the commit and host.
 
 use std::time::Duration;
 
@@ -23,12 +22,12 @@ use rr_rrg::iscas::IscasProfile;
 use rr_rrg::Rrg;
 use rr_tgmg::sim::SimParams;
 
-/// The `milp_scaling` bench instance family (paper-default generator,
-/// seed 42): the **single source of truth** for every consumer that
-/// claims to measure "the N-edge bench instance" — the `milp_scaling`
-/// bench records in `BENCH_milp.json`, the `factor_kernels` e2e
-/// regression, and the `search_orders` golden/ordering suite all pin
-/// trajectories of exactly this graph, so the definition must not fork.
+/// The bench instance family (paper-default generator, seed 42): the
+/// **single source of truth** for every consumer that claims to measure
+/// "the N-edge bench instance" — perfbench's `milp_large` workload, the
+/// `factor_kernels` e2e regression, and the `search_orders` golden/
+/// ordering suite all pin trajectories of exactly this graph, so the
+/// definition must not fork.
 pub fn milp_bench_instance(edges: usize) -> Rrg {
     let nodes = edges / 2;
     let early = (nodes / 8).max(1);
@@ -41,8 +40,12 @@ pub struct HarnessArgs {
     /// Base RNG seed for graph generation (`--seed N`).
     pub seed: u64,
     /// Edge cap for profile scaling (`--max-edges N`); `--full-size`
-    /// disables scaling entirely. See EXPERIMENTS.md for why the default
-    /// caps the four largest profiles.
+    /// disables scaling entirely. The default of 150 edges scales down
+    /// the nine profiles above it (s344 up to s1488/s1494) and runs the
+    /// other nine at full size. The paper gave CPLEX 20 minutes per MILP
+    /// on the full graphs; the from-scratch branch & bound here cannot
+    /// match that, so the cap trades fidelity on the largest profiles
+    /// for a run that finishes.
     pub max_edges: Option<usize>,
     /// Per-MILP time limit in seconds (`--time-limit N`). The paper used
     /// 20-minute CPLEX timeouts.
@@ -201,6 +204,21 @@ impl HarnessArgs {
             .filter(|n| !known.contains(&n.as_str()))
             .cloned()
             .collect()
+    }
+
+    /// Exits with status 2, naming the known circuits, when an `--only`
+    /// name matches nothing in `known`: a silently empty (or silently
+    /// substituted) selection would pass for a successful run.
+    pub fn require_known_only(&self, known: &[&str]) {
+        let unknown = self.unknown_only(known);
+        if !unknown.is_empty() {
+            eprintln!(
+                "error: unknown circuit(s) in --only: {} (known: {})",
+                unknown.join(", "),
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
 }
 

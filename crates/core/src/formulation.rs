@@ -82,8 +82,9 @@ pub struct OptOutcome {
     /// incumbent at a limit, mirroring the paper's CPLEX timeouts).
     pub proven_optimal: bool,
     /// Branch & bound search statistics (nodes, simplex pivots,
-    /// warm/cold solve split) — the perf telemetry the scaling benches
-    /// record in `BENCH_milp.json`.
+    /// warm/cold solve split) — the deterministic counters the
+    /// repository benchmark (`perfbench/`) reports and the golden tests
+    /// pin.
     pub stats: BranchBoundStats,
 }
 

@@ -17,8 +17,8 @@
 //!   alternation of §4, which collects non-dominated configurations,
 //!   evaluates each by simulation, and returns the best.
 //!
-//! The throughput constraints are re-derived rather than transcribed (the
-//! printed (5)–(10) contain typos, see DESIGN.md §5): LP (4) is emitted
+//! The throughput constraints are re-derived rather than transcribed,
+//! because the printed (5)–(10) contain typos: LP (4) is emitted
 //! mechanically over the shared [`rr_tgmg::TgmgSkeleton`], with the
 //! bilinear `x·r(·)` terms absorbed into the free σ potentials — which is
 //! exactly why fixing τ or x yields an MILP.

@@ -48,9 +48,9 @@
 //! result with an `O(k³)` elimination (it refuses recurrent classes past
 //! [`DENSE_STATE_CAP`] states with
 //! [`MarkovError::DenseSolveTooLarge`] rather than grinding). The two
-//! agree to well below 1e-7 on every chain both can solve; the `markov_scaling`
-//! bench in `rr-bench` A/B-measures them and appends the wall times to
-//! `BENCH_markov.json`.
+//! agree to well below 1e-7 on every chain both can solve; the unit
+//! tests assert it on the figure chains and on bounded-capacity
+//! pipelines.
 //!
 //! # Example
 //!
@@ -349,19 +349,27 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_all_figure_chains() {
-        for g in [
-            figures::figure_1a(0.5),
-            figures::figure_1b(0.5),
-            figures::figure_1b(0.9),
-            figures::figure_2(0.25),
-            figures::figure_2(0.9),
+        let bounded = Capacity::PerBuffer(2);
+        for (g, capacity) in [
+            (figures::figure_1a(0.5), Capacity::Unbounded),
+            (figures::figure_1b(0.5), Capacity::Unbounded),
+            (figures::figure_1b(0.9), Capacity::Unbounded),
+            (figures::figure_2(0.25), Capacity::Unbounded),
+            (figures::figure_2(0.9), Capacity::Unbounded),
+            // Pipelined bounded-capacity chains just under the dense cap.
+            (figures::figure_1b_pipeline(&[2, 2], 0.6), bounded),
+            (figures::figure_1b_pipeline(&[3, 2], 0.6), bounded),
         ] {
-            let sparse = exact_throughput_with(&g, &MarkovParams::default()).unwrap();
+            let params = MarkovParams {
+                capacity,
+                ..Default::default()
+            };
+            let sparse = exact_throughput_with(&g, &params).unwrap();
             let dense = exact_throughput_with(
                 &g,
                 &MarkovParams {
                     solver: StationarySolver::DenseGaussJordan,
-                    ..Default::default()
+                    ..params
                 },
             )
             .unwrap();
@@ -419,6 +427,30 @@ mod tests {
             "sparse {} vs simulation {sim}",
             sparse.throughput
         );
+    }
+
+    #[test]
+    fn sparse_is_exact_on_the_bounded_pipeline_ladder() {
+        // The top of the repository benchmark's Markov ladder at the
+        // real-elastic-buffer capacity: ~9.7k and ~28.5k recurrent
+        // states, both solved exactly by the sparse path.
+        for lens in [[4, 4], [5, 5]] {
+            let g = figures::figure_1b_pipeline(&lens, 0.6);
+            let params = MarkovParams {
+                capacity: Capacity::PerBuffer(2),
+                ..Default::default()
+            };
+            let r = exact_throughput_with(&g, &params).unwrap();
+            assert!(
+                r.exact,
+                "{lens:?}: sparse path fell back to power iteration"
+            );
+            assert!(
+                r.recurrent_states > 4 * DENSE_STATE_CAP,
+                "{lens:?}: instance shrank to {} recurrent states",
+                r.recurrent_states
+            );
+        }
     }
 
     /// The old power-iteration stopping rule compared Cesàro averages

@@ -63,9 +63,7 @@
 //!   the **cross-validation oracle**: an independent implementation whose
 //!   FTRAN/BTRAN answers the property tests compare against, the
 //!   factorization of the [`Kernel::DenseTableau`](crate::Kernel) oracle
-//!   configuration and of recovery-ladder rung 6, and the baseline the
-//!   `milp_scaling` bench measures the sparse scheme's storage and speed
-//!   wins over.
+//!   configuration and of recovery-ladder rung 6.
 //!
 //! Neither choice is a solver option: [`FactorConfig::resolve`] derives
 //! both from [`SolverOptions::kernel`](crate::SolverOptions::kernel).

@@ -218,9 +218,9 @@
 //! The original dense full-tableau two-phase simplex is retained as a
 //! **kernel-level cross-validation oracle** ([`Kernel::DenseTableau`]):
 //! an independent implementation whose objectives and feasibility
-//! verdicts the property tests compare against on random LPs/MILPs, the
-//! baseline the `milp_scaling` bench measures speedups over
-//! (`BENCH_milp.json`), and rung 6 of the per-node recovery ladder. It
+//! verdicts the property tests and the `factor_kernels` gate compare
+//! against on random LPs/MILPs and the bench instances, and rung 6 of
+//! the per-node recovery ladder. It
 //! is no longer a separate search backend: a MILP solved under
 //! [`Kernel::DenseTableau`] runs the unified warm search in the oracle
 //! configuration and then re-solves the incumbent's pinned integer

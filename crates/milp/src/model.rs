@@ -590,8 +590,9 @@ impl Model {
     }
 
     /// Like [`Model::solve_relaxation`], additionally reporting the
-    /// number of simplex pivots the solve took (perf telemetry for the
-    /// scaling benchmarks).
+    /// number of simplex pivots the solve took (perf telemetry; the LP
+    /// throughput bound reports it as `tgmg.lp_bound_pivots` in the
+    /// repository benchmark).
     ///
     /// # Errors
     ///

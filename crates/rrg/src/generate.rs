@@ -10,8 +10,9 @@
 //! The paper extracted its graph *structures* from the largest SCCs of the
 //! ISCAS89 circuits; those netlists are not shipped here, so the
 //! [`iscas`](crate::iscas) module pairs this generator with the exact
-//! |N1|/|N2|/|E| sizes of Table 2 (see DESIGN.md §2 for the substitution
-//! rationale).
+//! |N1|/|N2|/|E| sizes of Table 2. The substitution keeps the sizes and
+//! the paper's random-attribute recipe above and loses only the ISCAS89
+//! wiring, so absolute ξ values differ from the paper's.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

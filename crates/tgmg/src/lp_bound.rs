@@ -46,8 +46,9 @@ pub fn throughput_upper_bound_with(t: &Tgmg, opts: &SolverOptions) -> Result<f64
 }
 
 /// [`throughput_upper_bound_with`], additionally reporting the simplex
-/// pivot count of the LP solve (perf telemetry for the scaling benches;
-/// the count is 0 when the LP is detected unbounded). When the revised
+/// pivot count of the LP solve (the repository benchmark's
+/// `tgmg.lp_bound_pivots`; the count is 0 when the LP is detected
+/// unbounded). When the revised
 /// kernel fails numerically the LP is solved again on the dense tableau,
 /// and the count is the tableau's.
 ///

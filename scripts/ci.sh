@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus bench-rot protection, exactly as CI runs it.
+# Tier-1 verify plus the fixed-seed gates and the benchmark build,
+# exactly as CI runs it.
 #
 #   ./scripts/ci.sh
 #
-# All dependencies are vendored (vendor/{rand,proptest,criterion}), so
-# the build works fully offline.
+# All dependencies are vendored (vendor/{rand,proptest}), so the build
+# works fully offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# No gate may write into the tree: `git status` and a digest of the
+# tracked files' diff against HEAD at the start are compared with the
+# same at the end (the digest catches a further edit to a file that was
+# already modified).
+tree_state() { git status --porcelain; git diff HEAD --binary | git hash-object --stdin; }
+state_before=$(tree_state)
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -14,8 +22,8 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release --offline
 
-# --all-targets lints tests, benches and examples too, not only the
-# library and binary code.
+# --all-targets lints tests and examples too, not only the library and
+# binary code.
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -72,9 +80,10 @@ cargo test -q --offline --release --test pricing_search
 # The backend-unification gate: the two golden instances must replay
 # bit-exact through the unified warm backend, mirrored/free
 # integer fixtures (the deleted LegacyBackend's model class) must solve
-# warm at workers∈{1,2} and agree with the dense oracle, and
-# source-level assertions pin that no model clone lives in the node
-# loop. Fixed seeds and node caps, so failures reproduce exactly.
+# warm at workers∈{1,2} and agree with the dense oracle, warm-starting
+# must take strictly fewer pivots than cold node solves on the free-lag
+# retiming MILPs, and source-level assertions pin that no model clone
+# lives in the node loop. Fixed seeds and node caps, so failures reproduce exactly.
 echo "==> cargo test --test backend_unification (one-backend gate)"
 cargo test -q --offline --release --test backend_unification
 
@@ -95,18 +104,10 @@ cargo test -q --offline --release --test sim_replay
 # most circuits. The gate requires ≥ 17 of 18 circuits with every MILP
 # in their sweeps proven within gap — the current count: only s713
 # still truncates in its τ-variable MIN_CYC steps. Raise it whenever the
-# count rises, never lower it. The sweep's per-circuit records append to
-# BENCH_milp.json.
+# count rises, never lower it.
 echo "==> table2 --max-edges 20 (reduced Table-2 sweep gate)"
 cargo run --release -q -p rr-bench --bin table2 --offline -- \
   --max-edges 20 --max-nodes 20000 --time-limit 600 --require-complete 17
-
-# Bench code must at least compile so the perf harness can't silently
-# rot between PRs (running the benches stays a manual/nightly job); this
-# also covers the ordering and parallel A/B arms of milp_scaling
-# (ordering_comparison, parallel_comparison).
-echo "==> cargo bench --no-run"
-cargo bench --no-run --offline
 
 # The repository benchmark (perfbench/, its own cargo workspace) builds
 # against the rr-milp/rr-core API: a change that breaks it must fail
@@ -122,5 +123,13 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path pe
 # nondeterminism, not host speed.
 echo "==> perfbench --determinism (production-search determinism gate)"
 python3 perfbench/run.py --determinism --workload milp_large --seed 42 --seconds 30
+
+echo "==> working tree unchanged"
+state_after=$(tree_state)
+if [ "$state_after" != "$state_before" ]; then
+  echo "error: a CI step changed the working tree (git status, then diff digest):" >&2
+  diff <(echo "$state_before") <(echo "$state_after") >&2 || true
+  exit 1
+fi
 
 echo "CI OK"

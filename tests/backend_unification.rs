@@ -2,18 +2,21 @@
 //!
 //! The `LegacyBackend` — a rebuild-the-model-per-node dense-tableau
 //! search backend that owned mirrored and free integer variables — is
-//! gone. This suite pins the three facts that deletion rests on:
+//! gone. This suite pins the four facts that deletion rests on:
 //!
-//! * **Goldens survive** — the two golden instances (frozen local
-//!   copies) replay bit-exact through the unified warm path: same
-//!   objective, node count, pivot count, warm/cold solve split. They
-//!   were first pinned under most-fractional branching and re-pinned to
-//!   the production search when that rule was retired.
+//! * **Goldens survive** — the two golden instances (the ring fixture is
+//!   frozen in `tests/common`) replay bit-exact through the unified warm
+//!   path: same objective, node count, pivot count, warm/cold solve
+//!   split. They were first pinned under most-fractional branching and
+//!   re-pinned to the production search when that rule was retired.
 //! * **The legacy model class runs warm** — mirrored (upper-bound-only)
 //!   and free (split-pair) integer fixtures solve through `WarmBackend`
 //!   at `workers ∈ {1, 2}`, agree with the dense-tableau oracle request
 //!   to ≤ 1e-7, and warm-start cleanly (`cold_solves == 1`, every
 //!   subsequent node a warm dual reoptimization).
+//! * **Warm-starting pays** — on free-lag retiming MILPs the warm search
+//!   takes strictly fewer pivots than solving every node cold, with one
+//!   cold solve and the same optimum.
 //! * **No model clones in the node loop** — source-level assertions:
 //!   the `LegacyBackend` / `SNAP_LEAVES` identifiers (and those of the
 //!   retired serial loop, `SearchCore` / `LpBackend` / `run_search`)
@@ -21,39 +24,12 @@
 //!   `branch_bound.rs` (the whole-solve cross-validation pin, outside
 //!   the search loop) and never in `parallel.rs`.
 
+mod common;
+
+use common::{free_lag_retiming_milp, ring_difference_milp};
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, Kernel, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status,
-};
-
-/// Frozen copy of the PR 4 ring-difference golden instance. Deliberately
-/// duplicated here rather than imported: this gate pins the *unified*
-/// backend's trajectory on exactly this model, so its definition must
-/// stay frozen with the golden values below.
-fn ring_difference_milp(n: usize, rows: usize) -> Model {
-    let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj += ((i % 4 + 1) as f64) * v;
-    }
-    m.set_objective(obj);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
-    }
-    for r in 0..rows {
-        let mut row = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            row += (((i + r) % 5 + 1) as f64) * v;
-        }
-        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
-    }
-    m
-}
+use rr_milp::{cmp, solve_with_stats, Kernel, Model, NodeOrder, Sense, SolverOptions, Status};
 
 /// Golden replay 1: the ring MILP through the unified warm path must
 /// reproduce the pinned trajectory of the default options exactly — not
@@ -198,6 +174,50 @@ fn legacy_model_class_runs_warm_parallel_and_oracle_checked() {
                 );
             }
         }
+    }
+}
+
+/// Warm-starting pays for itself on the free/mirrored model class: on
+/// two retiming-lag instances the warm search and the same backend with
+/// `warm_start: false` (every node solved from scratch — a cost proxy
+/// for the retired backend, which rebuilt and cold-solved a tableau per
+/// node) both close within a 50k-node cap on the same optimum, the warm
+/// run takes exactly one cold solve, and it takes strictly fewer pivots.
+#[test]
+fn warm_start_beats_cold_node_solves_on_free_lag_milps() {
+    for (n, rows) in [(12usize, 6usize), (15, 7)] {
+        let m = free_lag_retiming_milp(n, rows);
+        let solve = |warm_start: bool| {
+            let opts = SolverOptions {
+                max_nodes: 50_000,
+                warm_start,
+                ..SolverOptions::default()
+            };
+            solve_with_stats(&m, &opts)
+                .unwrap_or_else(|e| panic!("lags{n} warm_start={warm_start}: {e:?}"))
+        };
+        let (warm, warm_stats) = solve(true);
+        let (cold, cold_stats) = solve(false);
+        assert!(
+            !warm_stats.truncated && !cold_stats.truncated,
+            "lags{n}: truncated at the 50k-node cap — the instance no longer closes"
+        );
+        assert!(
+            (warm.objective - cold.objective).abs() <= 1e-7 * warm.objective.abs().max(1.0),
+            "lags{n}: warm {} vs cold {} — the box translation changed the optimum",
+            warm.objective,
+            cold.objective
+        );
+        assert_eq!(
+            warm_stats.cold_solves, 1,
+            "lags{n}: mirrored/free boxes are not warm-starting"
+        );
+        assert!(
+            warm_stats.simplex_iters < cold_stats.simplex_iters,
+            "lags{n}: warm path took {} pivots, cold node solves {}",
+            warm_stats.simplex_iters,
+            cold_stats.simplex_iters
+        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! End-to-end regression of the basis-factorization layer on the
-//! `milp_scaling` bench family (same generator, same seed 42): the
+//! bench instance family (`milp_bench_instance`, seed 42): the
 //! largest (40-edge) instance is optimized once by the production
 //! kernel (Markowitz sparse LU, Forrest–Tomlin updates) and once in the
 //! oracle configuration (`Kernel::DenseTableau`: dense LU, product-form
@@ -9,13 +9,14 @@
 //! within a sane budget, so any objective disagreement there is a
 //! factorization bug, not a search-path artifact; `MAX_THR` is
 //! cross-checked at the bench's own options, where the fixed-seed search
-//! is deterministic. The sparse kernel must also actually exploit
-//! sparsity: its recorded `nnz(L+U)` stays far below the dense `m²`
-//! storage.
+//! is deterministic, and the LP throughput bound on larger instances.
+//! The sparse kernel must also actually exploit sparsity: its recorded
+//! `nnz(L+U)` stays far below the dense `m²` storage.
 
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::Kernel;
+use rr_milp::{Kernel, SolverOptions};
+use rr_tgmg::{lp_bound, skeleton::tgmg_of};
 
 fn opts_with(kernel: Kernel, gap_tol: f64) -> CoreOptions {
     let mut opts = CoreOptions::fast();
@@ -63,26 +64,58 @@ fn factor_kinds_prove_the_same_optimum_on_the_largest_bench_instance() {
     );
 }
 
-/// `MAX_THR` at the bench's own options: the fixed-seed searches are
-/// deterministic, and on this instance both configurations prove the
-/// same optimum — identical objective and identical verdict flags.
+/// `MAX_THR` on the 20-edge instance at the bench's own options minus
+/// the wall clock: the production kernel (warm node solves), the same
+/// kernel solving every node cold, and the dense-tableau oracle all
+/// prove the same optimum. (On the 40-edge instance the cold and oracle
+/// searches stop at the 2000-node cap, so only `MIN_CYC` above compares
+/// kernels there.)
 #[test]
 fn factor_kinds_agree_on_max_thr_at_bench_options() {
     let g = bench_instance(20);
-    let tau = g.max_delay();
-    let sparse_opts = CoreOptions::fast();
-    let mut dense_opts = CoreOptions::fast();
-    dense_opts.solver.kernel = Kernel::DenseTableau;
-    let sparse = formulation::max_thr(&g, tau, &sparse_opts).expect("sparse MAX_THR solves");
-    let dense = formulation::max_thr(&g, tau, &dense_opts).expect("dense MAX_THR solves");
-    assert_eq!(
-        sparse.proven_optimal, dense.proven_optimal,
-        "verdicts diverge"
-    );
-    assert!(
-        (sparse.objective - dense.objective).abs() < 1e-7,
-        "sparse {} vs dense {}",
-        sparse.objective,
-        dense.objective
-    );
+    let solve = |kernel: Kernel, warm_start: bool| {
+        let mut opts = CoreOptions::fast();
+        opts.solver.time_limit = None;
+        opts.solver.kernel = kernel;
+        opts.solver.warm_start = warm_start;
+        formulation::max_thr(&g, g.max_delay(), &opts)
+            .unwrap_or_else(|e| panic!("{kernel:?} warm={warm_start}: {e}"))
+    };
+    let warm = solve(Kernel::Revised, true);
+    assert!(warm.proven_optimal, "revised warm did not prove optimality");
+    for (label, other) in [
+        ("revised cold", solve(Kernel::Revised, false)),
+        ("dense oracle", solve(Kernel::DenseTableau, false)),
+    ] {
+        assert!(other.proven_optimal, "{label} did not prove optimality");
+        assert!(
+            (warm.objective - other.objective).abs() < 1e-7,
+            "revised warm {} vs {label} {}",
+            warm.objective,
+            other.objective
+        );
+    }
+}
+
+/// The LP throughput bound on the 60- and 240-edge instances: the
+/// revised kernel and the dense-tableau oracle agree to 1e-7.
+#[test]
+fn kernels_agree_on_the_lp_bound() {
+    for edges in [60usize, 240] {
+        let t = tgmg_of(&bench_instance(edges));
+        let bound = |kernel: Kernel| {
+            let opts = SolverOptions {
+                kernel,
+                ..SolverOptions::default()
+            };
+            lp_bound::throughput_upper_bound_with(&t, &opts)
+                .unwrap_or_else(|e| panic!("bench{edges} {kernel:?}: {e:?}"))
+        };
+        let revised = bound(Kernel::Revised);
+        let dense = bound(Kernel::DenseTableau);
+        assert!(
+            (revised - dense).abs() <= 1e-7 * revised.abs().max(1.0),
+            "bench{edges}: revised {revised} vs dense oracle {dense}"
+        );
+    }
 }

@@ -11,11 +11,12 @@
 //! of the ladder (the dense-oracle rung), which hinted runs absorb
 //! earlier: their warm-start hint solve eats the first injected failure.
 
+mod common;
+
+use common::ring_difference_milp;
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, FaultPlan, LinExpr, Model, RecoveryStats, Sense, SolverOptions, Status,
-};
+use rr_milp::{solve_with_stats, FaultPlan, RecoveryStats, SolverOptions, Status};
 use rr_rrg::figures;
 use rr_rrg::Rrg;
 
@@ -30,32 +31,6 @@ fn core_opts(faults: Option<FaultPlan>) -> CoreOptions {
     opts.solver.gap_tol = 1e-9;
     opts.solver.faults = faults;
     opts
-}
-
-/// Same planted ring-difference MILP family the solver stress suites
-/// use: difference constraints over a ring plus coupling knapsack rows.
-fn ring_difference_milp(n: usize, rows: usize) -> Model {
-    let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj += ((i % 4 + 1) as f64) * v;
-    }
-    m.set_objective(obj);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
-    }
-    for r in 0..rows {
-        let mut row = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            row += (((i + r) % 5 + 1) as f64) * v;
-        }
-        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
-    }
-    m
 }
 
 fn absorb(total: &mut RecoveryStats, run: &RecoveryStats) {

@@ -12,7 +12,8 @@
 //!   prove identical optima (≤ 1e-7) and identical verdicts as the
 //!   serial search on every Table-1 instance the serial search
 //!   completes (paper figures × {MAX_THR, MIN_CYC} plus the bench
-//!   `MIN_CYC` instances). The parallel node *schedule* is
+//!   `MIN_CYC` instances and the 40-edge bench `MAX_THR`). The parallel
+//!   node *schedule* is
 //!   nondeterministic; a completed branch & bound proves the optimum
 //!   regardless of schedule, which is exactly what this asserts.
 //! * **Fault tolerance under parallelism** — a fault-injected parallel
@@ -24,11 +25,12 @@
 //! `parallel_map_bounded` helper — the same bounded-parallelism idiom
 //! the table harness uses.
 
+mod common;
+
+use common::ring_difference_milp;
 use rr_bench::{milp_bench_instance as bench_instance, parallel_map_bounded};
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{
-    cmp, solve_with_stats, FaultPlan, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status,
-};
+use rr_milp::{solve_with_stats, FaultPlan, NodeOrder, SolverOptions, Status};
 use rr_rrg::figures;
 use rr_rrg::iscas::IscasProfile;
 use rr_rrg::Rrg;
@@ -45,31 +47,6 @@ fn capped(order: NodeOrder, max_nodes: usize, workers: usize) -> CoreOptions {
     opts.solver.workers = workers;
     opts.cuts = false;
     opts
-}
-
-/// The `search_orders` golden instance, frozen with its trajectory pins.
-fn ring_difference_milp(n: usize, rows: usize) -> Model {
-    let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj += ((i % 4 + 1) as f64) * v;
-    }
-    m.set_objective(obj);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
-    }
-    for r in 0..rows {
-        let mut row = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            row += (((i + r) % 5 + 1) as f64) * v;
-        }
-        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
-    }
-    m
 }
 
 /// Bit-exact stats equality. `node_bounds` holds NaN for failed node
@@ -383,6 +360,7 @@ fn parallel_workers_prove_identical_optima_on_table1_instances() {
     for edges in [20usize, 40] {
         jobs.push((format!("bench{edges}"), bench_instance(edges), "min_cyc"));
     }
+    jobs.push(("bench40".into(), bench_instance(40), "max_thr"));
     // Outer fan-out through the shared harness helper; each job runs the
     // serial reference plus both parallel configurations.
     let failures: Vec<String> = parallel_map_bounded(4, jobs, |(name, g, problem)| {

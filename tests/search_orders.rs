@@ -17,9 +17,12 @@
 //! Everything here is deterministic: fixed seeds, node caps instead of
 //! wall-clock limits.
 
+mod common;
+
+use common::ring_difference_milp;
 use rr_bench::milp_bench_instance as bench_instance;
 use rr_core::{formulation, CoreOptions};
-use rr_milp::{cmp, solve_with_stats, LinExpr, Model, NodeOrder, Sense, SolverOptions, Status};
+use rr_milp::{solve_with_stats, NodeOrder, SolverOptions, Status};
 use rr_rrg::figures;
 use rr_rrg::Rrg;
 
@@ -34,35 +37,6 @@ fn capped(order: NodeOrder, max_nodes: usize) -> CoreOptions {
     opts.solver.node_order = order;
     opts.cuts = false;
     opts
-}
-
-/// The ring-difference golden instance: difference constraints over a
-/// ring plus coupling knapsack rows (same shape the solver stress suite
-/// uses). Deliberately defined *here*, not imported: the goldens below
-/// pin the search trajectory of exactly this model, so its definition
-/// must stay frozen with them.
-fn ring_difference_milp(n: usize, rows: usize) -> Model {
-    let mut m = Model::new(Sense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_integer(format!("x{i}"), 0.0, 6.0))
-        .collect();
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj += ((i % 4 + 1) as f64) * v;
-    }
-    m.set_objective(obj);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        m.add_constraint(vars[i] - vars[j], cmp::LE, ((i % 3) as f64) - 0.5);
-    }
-    for r in 0..rows {
-        let mut row = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            row += (((i + r) % 5 + 1) as f64) * v;
-        }
-        m.add_constraint(row, cmp::GE, 2.5 * n as f64 + r as f64);
-    }
-    m
 }
 
 /// Golden regression, instance 1: the exact search trajectory of the
